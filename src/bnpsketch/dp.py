@@ -17,7 +17,6 @@ import math
 import time
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numkit import DomainError, digamma
 from .report import EstimateReport, FittedPrior
@@ -58,6 +57,8 @@ def dp_loglik(sketch: Sketch, theta) -> float:
 
     log multinomial coefficient - log (theta)_(n) + sum_j log (theta/J)_(c_j).
     """
+    from scipy.special import gammaln
+
     theta = _check_theta(theta)
     vals, mult = _counts_groups(sketch)
     n = sketch.n
@@ -116,6 +117,8 @@ def dp_fit_theta(sketch: Sketch, bounds=DEFAULT_THETA_BOUNDS):
 
 def _log_coverage_terms(vals, theta, J, r):
     """log of C(c, r) * r! * (theta/J)_(c-r) / (theta/J)_(c) per unique count."""
+    from scipy.special import gammaln
+
     z = theta / J
     log_fall = gammaln(vals + 1.0) - gammaln(vals - r + 1.0)  # c!/(c-r)! = C(c,r)*r!
     log_rf_ratio = gammaln(z + vals - r) - gammaln(z + vals)

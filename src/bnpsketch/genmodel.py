@@ -23,6 +23,7 @@ from .numkit import (
 __all__ = [
     "PriorParams",
     "RawSample",
+    "crp_bucket_counts",
     "dist_distinct",
     "expected_distinct_exact",
     "sample_distinct_prefix",
@@ -171,13 +172,16 @@ def sample_pyp_sequence(params: PriorParams, n: int, seed, with_weights: bool = 
     )
 
 
-def _crp_fill_py(symbols, u, pick, alpha, theta):
-    """Reference loop for the sequential predictive sampler."""
+def _crp_fill(symbols, u, pick, alpha, theta):
+    """Single-stream loop of the sequential predictive sampler.
+
+    Block k is the block first seen as symbol k, so a uniform block pick is
+    ``int(pick[i] * n_blocks)`` itself.  ``crp_bucket_counts`` repeats these
+    float operations in the same order, row by row.
+    """
     n = symbols.shape[0]
-    blocks = np.empty(n, dtype=np.int64)
     repeats = np.empty(n, dtype=np.int64)
     symbols[0] = 0
-    blocks[0] = 0
     n_blocks = 1
     n_repeats = 0
     for i in range(1, n):
@@ -187,12 +191,11 @@ def _crp_fill_py(symbols, u, pick, alpha, theta):
         x = u[i] * total
         if x < w_new:
             sym = n_blocks
-            blocks[n_blocks] = sym
             n_blocks += 1
         elif x < w_new + w_rep:
             sym = repeats[int(pick[i] * w_rep)]
         else:
-            sym = blocks[int(pick[i] * n_blocks)]
+            sym = int(pick[i] * n_blocks)
         symbols[i] = sym
         if x >= w_new:
             repeats[n_repeats] = sym
@@ -200,12 +203,51 @@ def _crp_fill_py(symbols, u, pick, alpha, theta):
     return n_blocks
 
 
-try:  # the jitted loop is ~200x faster and bit-identical; plain Python works too
-    import numba
+def crp_bucket_counts(alpha, theta, stream, u, pick, bucket_of_id, width: int) -> np.ndarray:
+    """Bucket counts of many sequential-predictive streams, run in lockstep.
 
-    _crp_fill = numba.njit(cache=True)(_crp_fill_py)
-except ImportError:  # pragma: no cover
-    _crp_fill = _crp_fill_py
+    Row r samples n >= 1 observations under (alpha[r], theta[r]) from the
+    uniforms ``u[stream[r]]`` and ``pick[stream[r]]`` (each of shape
+    (streams, n)), maps symbol id k to bucket ``bucket_of_id[k]`` and
+    returns the (rows, width) counts.  One vectorized step per observation
+    advances every row; each row repeats ``_crp_fill``'s float operations in
+    the same order, so its counts equal those of that loop's symbols
+    sketched with the same buckets, bit for bit.  Memory is one repeat table
+    of rows x n ids (a row's non-initial symbols) plus the counts; no
+    symbols are kept.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    stream = np.asarray(stream, dtype=np.intp)
+    rows, n = stream.size, np.shape(u)[1]
+    u_steps = np.ascontiguousarray(np.transpose(u), dtype=float)
+    pick_steps = np.ascontiguousarray(np.transpose(pick), dtype=float)
+    id_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    repeats = np.empty(rows * n, dtype=id_type)
+    base = np.arange(rows, dtype=np.intp) * n
+    n_blocks = np.ones(rows, dtype=np.intp)
+    n_repeats = np.zeros(rows, dtype=np.intp)
+    for i in range(1, n):
+        w_new = theta + n_blocks * alpha
+        w_rep = n_repeats.astype(float)  # i - n_blocks
+        x = u_steps[i][stream] * (theta + i)
+        p = pick_steps[i][stream]
+        is_new = x < w_new
+        old = np.where(
+            x < w_new + w_rep,
+            repeats[base + (p * w_rep).astype(np.intp)],
+            (p * n_blocks).astype(id_type),
+        )
+        # a new block's slot is written but not kept: n_repeats stays put
+        repeats[base + n_repeats] = np.where(is_new, n_blocks, old)
+        n_blocks += is_new
+        n_repeats += ~is_new
+    counts = np.empty((rows, width), dtype=np.int64)
+    for r in range(rows):
+        own = repeats[base[r] : base[r] + n_repeats[r]]
+        counts[r] = np.bincount(bucket_of_id[: n_blocks[r]], minlength=width)
+        counts[r] += np.bincount(bucket_of_id[own], minlength=width)
+    return counts
 
 
 def _sample_crp_ids(params: PriorParams, n: int, rng: np.random.Generator) -> np.ndarray:

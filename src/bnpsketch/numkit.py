@@ -72,20 +72,6 @@ def log_rising_factorial(a, u: int):
     return math.lgamma(a + u) - math.lgamma(a)
 
 
-def log_rising_factorial_vec(a, u):
-    """Vectorized ``log_rising_factorial`` with scalar positive base ``a``.
-
-    ``u`` is an integer array; entries must be >= 0.
-    """
-    a = float(a)
-    if a <= 0.0:
-        raise DomainError(f"rising factorial base must be positive, got {a}")
-    u = np.asarray(u)
-    from scipy.special import gammaln
-
-    return gammaln(a + u) - gammaln(a)
-
-
 def log_rising_factorial_prefix(a, u_max: int):
     """Array L with L[u] = log (a)_(u) for u = 0..u_max, by cumulative sums.
 

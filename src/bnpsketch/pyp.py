@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genmodel import PriorParams, rng_from, sample_distinct_pairs, sample_pyp_sequence
+from .genmodel import PriorParams, crp_bucket_counts, rng_from, sample_distinct_pairs
 from .numkit import (
     DomainError,
     GfcTable,
@@ -29,7 +29,7 @@ from .numkit import (
     logsumexp,
 )
 from .report import EstimateReport, FittedPrior
-from .sketch import Sketch
+from .sketch import Sketch, buckets_u64, prehash_u64
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -425,6 +425,10 @@ def sorted_count_distance(counts_a, counts_b) -> float:
 DEFAULT_ALPHA_GRID = tuple(np.round(np.arange(0.0, 0.951, 0.05), 10))
 DEFAULT_THETA_GRID = tuple(np.logspace(-1.0, 5.0, 10))
 
+# Working set of one lockstep batch of the fit: rows x max(n_sim, width)
+# cells, i.e. about 8 MB of int32 repeat table.
+_LOCKSTEP_CELLS = 1 << 21
+
 
 @dataclass
 class WassersteinFit:
@@ -473,7 +477,12 @@ def wasserstein_fit(
 
     Simulation uses the sequential predictive sampler: the sketch depends
     only on the symbol sequence, and stick coverage would be intractable on
-    the heavy-discount end of the grid.
+    the heavy-discount end of the grid.  The streams of a stage (grid, theta
+    refinement, rescoring) run in lockstep, one row per (alpha, theta,
+    replicate), in batches of a fixed working set (``_LOCKSTEP_CELLS``:
+    about 8 MB of repeat table); the bucket of each symbol id is hashed once
+    per fit.  The surface equals that of sampling and sketching each stream
+    on its own, bit for bit.
     """
     if sketch.n == 0:
         raise DomainError("cannot fit parameters on an empty sketch")
@@ -484,6 +493,8 @@ def wasserstein_fit(
     theta_grid = sorted(float(t) for t in theta_grid)
     if not alpha_grid or not theta_grid:
         raise DomainError("parameter grid must be nonempty")
+    if num_reps < 1:
+        raise DomainError(f"num_reps must be >= 1, got {num_reps}")
     n = sketch.n
     n_sim = int(n_sim) if n_sim is not None else min(n, 10_000)
     if not 1 <= n_sim <= n:
@@ -492,37 +503,52 @@ def wasserstein_fit(
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rep_seeds = ss.spawn(4 * num_reps)
+    bucket_of_id = buckets_u64(
+        prehash_u64(np.arange(n_sim), spec.symbol_seed), spec.a, spec.b, spec.width
+    )
+    batch_rows = max(1, _LOCKSTEP_CELLS // max(n_sim, spec.width))
 
-    def mean_distance(a: float, t: float, reps: int) -> float:
-        pp = PriorParams(alpha=a, theta=t)
-        dist = 0.0
-        for rs in rep_seeds[:reps]:
-            sim = sample_pyp_sequence(
-                pp, n_sim, np.random.default_rng(rs), with_weights=False
+    def mean_distances(points, reps: int) -> dict:
+        """Distance of each (alpha, theta) point averaged over the first reps replicates."""
+        for a, t in points:
+            PriorParams(alpha=a, theta=t)
+        jobs = [(p, r) for r in range(reps) for p in range(len(points))]
+        dist = np.empty((len(points), reps))
+        for lo in range(0, len(jobs), batch_rows):
+            batch = jobs[lo : lo + batch_rows]
+            first, last = batch[0][1], batch[-1][1] + 1
+            u = np.empty((last - first, n_sim))
+            pick = np.empty_like(u)
+            for k, rs in enumerate(rep_seeds[first:last]):
+                rng = np.random.default_rng(rs)
+                u[k] = rng.random(n_sim)
+                pick[k] = rng.random(n_sim)
+            counts = crp_bucket_counts(
+                [points[p][0] for p, _ in batch],
+                [points[p][1] for p, _ in batch],
+                [r - first for _, r in batch],
+                u,
+                pick,
+                bucket_of_id,
+                spec.width,
             )
-            shadow = Sketch(spec=spec)
-            shadow.insert_ids(sim.symbols)
-            dist += sorted_count_distance(shadow.counts, target)
-        return dist / reps
+            for (p, r), row in zip(batch, counts):
+                dist[p, r] = sorted_count_distance(row, target)
+        # replicate distances are added in replicate order, as a running sum
+        means = dist.cumsum(axis=1)[:, -1] / reps
+        return {at: float(d) for at, d in zip(points, means)}
 
-    scores: dict[tuple[float, float], float] = {}
-    for a in alpha_grid:
-        for t in theta_grid:
-            scores[(a, t)] = mean_distance(a, t, num_reps)
+    scores = mean_distances([(a, t) for a in alpha_grid for t in theta_grid], num_reps)
     if refine_theta > 0:
         t_best = min(scores, key=lambda at: (scores[at], at))[1]
         extra = np.logspace(
             math.log10(t_best) - 0.5, math.log10(t_best) + 0.5, int(refine_theta) + 2
         )[1:-1]
-        for a in alpha_grid:
-            for t in extra:
-                t = float(t)
-                if (a, t) not in scores:
-                    scores[(a, t)] = mean_distance(a, t, num_reps)
+        fresh = [(a, float(t)) for a in alpha_grid for t in extra]
+        scores.update(mean_distances([at for at in fresh if at not in scores], num_reps))
     if rescore_top > 0:
         shortlist = sorted(scores, key=lambda at: (scores[at], at))[: int(rescore_top)]
-        for a, t in shortlist:
-            scores[(a, t)] = mean_distance(a, t, 4 * num_reps)
+        scores.update(mean_distances(shortlist, 4 * num_reps))
     best = min(scores, key=lambda at: (scores[at], at))
     rows = sorted((a, t, d) for (a, t), d in scores.items())
     prior = FittedPrior(alpha=best[0], theta=best[1], provenance="eb-wasserstein")

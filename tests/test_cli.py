@@ -354,3 +354,8 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "sketch" in proc.stdout and "experiment" in proc.stdout
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import sys, bnpsketch.cli; sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

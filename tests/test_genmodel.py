@@ -8,6 +8,7 @@ import scipy.stats
 
 from bnpsketch import genmodel as gm
 from bnpsketch.numkit import DomainError
+from bnpsketch.sketch import HashSpec, Sketch, buckets_u64, prehash_u64
 
 
 class TestPriorParams:
@@ -75,6 +76,36 @@ class TestStickBreakingSampler:
     def test_atom_budget_guard(self):
         with pytest.raises(DomainError):
             gm.sample_pyp_sequence(gm.PriorParams(0.95, 1.0), 200_000, seed=0)
+
+
+class TestLockstepSampler:
+    PARAMS = [(0.0, 0.1), (0.0, 1e5), (0.95, 0.1), (0.95, 1e5), (0.5, 10.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_rows_match_single_stream_sketches(self, n):
+        # rows with mixed (alpha, theta) over shared streams, as the fit uses them
+        spec = HashSpec.random(32, seed=11)
+        seeds = np.random.SeedSequence(n).spawn(3)
+        u = np.empty((len(seeds), n))
+        pick = np.empty_like(u)
+        for k, s in enumerate(seeds):
+            rng = np.random.default_rng(s)
+            u[k] = rng.random(n)
+            pick[k] = rng.random(n)
+        rows = [(a, t, k) for a, t in self.PARAMS for k in range(len(seeds))]
+        alpha, theta, stream = (list(col) for col in zip(*rows))
+        bucket_of_id = buckets_u64(
+            prehash_u64(np.arange(n), spec.symbol_seed), spec.a, spec.b, spec.width
+        )
+        got = gm.crp_bucket_counts(alpha, theta, stream, u, pick, bucket_of_id, spec.width)
+        assert got.shape == (len(rows), spec.width)
+        for (a, t, k), counts in zip(rows, got):
+            smp = gm.sample_pyp_sequence(
+                gm.PriorParams(a, t), n, np.random.default_rng(seeds[k]), with_weights=False
+            )
+            want = Sketch(spec)
+            want.insert_ids(smp.symbols)
+            assert np.array_equal(counts, want.counts), (a, t, k)
 
 
 class TestZipfSampler:

@@ -319,6 +319,60 @@ class TestWassersteinFit:
         with pytest.raises(DomainError):
             pyp.wasserstein_fit(make_sketch([0, 0]))
 
+    def test_replicate_count_validated(self):
+        with pytest.raises(DomainError):
+            pyp.wasserstein_fit(make_sketch([3, 1]), num_reps=0)
+
+    @staticmethod
+    def per_stream_surface(sketch, alpha_grid, theta_grid, num_reps, n_sim, seed,
+                           refine_theta, rescore_top):
+        """The fit's surface rebuilt one stream at a time: sample, sketch, compare."""
+        target = np.sort(sketch.counts.astype(float)) * (n_sim / sketch.n)
+        rep_seeds = seed.spawn(4 * num_reps)
+
+        def mean_distance(a, t, reps):
+            dist = 0.0
+            for rs in rep_seeds[:reps]:
+                sim = sample_pyp_sequence(
+                    PriorParams(a, t), n_sim, np.random.default_rng(rs), with_weights=False
+                )
+                shadow = Sketch(spec=sketch.spec)
+                shadow.insert_ids(sim.symbols)
+                dist += pyp.sorted_count_distance(shadow.counts, target)
+            return dist / reps
+
+        scores = {(a, t): mean_distance(a, t, num_reps) for a in alpha_grid for t in theta_grid}
+        t_best = min(scores, key=lambda at: (scores[at], at))[1]
+        extra = np.logspace(
+            math.log10(t_best) - 0.5, math.log10(t_best) + 0.5, refine_theta + 2
+        )[1:-1]
+        for a in alpha_grid:
+            for t in map(float, extra):
+                if (a, t) not in scores:
+                    scores[(a, t)] = mean_distance(a, t, num_reps)
+        shortlist = sorted(scores, key=lambda at: (scores[at], at))[:rescore_top]
+        for at in shortlist:
+            scores[at] = mean_distance(*at, 4 * num_reps)
+        return np.array(sorted((a, t, d) for (a, t), d in scores.items()))
+
+    @pytest.mark.parametrize("fit_seed", [9, 10])
+    @pytest.mark.parametrize("cells", [None, 7 * 300])
+    def test_surface_matches_per_stream_fit(self, fit_seed, cells, monkeypatch):
+        # cells = 7 rows of 300 observations forces batches that split replicates
+        if cells is not None:
+            monkeypatch.setattr(pyp, "_LOCKSTEP_CELLS", cells)
+        smp = sample_pyp_sequence(PriorParams(0.5, 20.0), 1500, seed=3, with_weights=False)
+        s = Sketch(HashSpec.random(32, seed=4))
+        s.insert_ids(smp.symbols)
+        grid = dict(alpha_grid=[0.0, 0.5, 0.9], theta_grid=[0.1, 20.0, 1e5])
+        kw = dict(num_reps=2, n_sim=300, refine_theta=2, rescore_top=3)
+        # spawn is stateful: each fit gets its own SeedSequence
+        fit = pyp.wasserstein_fit(s, seed=np.random.SeedSequence(fit_seed), **grid, **kw)
+        want = self.per_stream_surface(s, seed=np.random.SeedSequence(fit_seed), **grid, **kw)
+        assert np.array_equal(fit.surface, want)
+        best = min(want.tolist(), key=lambda row: (row[2], row[0], row[1]))
+        assert (fit.prior.alpha, fit.prior.theta) == (best[0], best[1])
+
 
 class TestReport:
     def test_exact_report_consistency(self):
