@@ -32,11 +32,9 @@ from .genmodel import (
 )
 from .numkit import (
     DomainError,
-    GfcRow,
     GfcTable,
     digamma,
     gfc_direct,
-    gfc_row,
     log_convolve,
     log_rising_factorial,
     logsumexp,
@@ -70,7 +68,6 @@ from .sketch import (
     SketchFormatError,
     hash_eval,
     sketch_deserialize,
-    sketch_insert,
     sketch_load,
     sketch_merge,
     sketch_save,
@@ -85,7 +82,6 @@ __all__ = [
     "ExactCapError",
     "ExperimentConfig",
     "FittedPrior",
-    "GfcRow",
     "GfcTable",
     "HashSpec",
     "LogBlockWeights",
@@ -106,7 +102,6 @@ __all__ = [
     "dp_report",
     "expected_distinct_exact",
     "gfc_direct",
-    "gfc_row",
     "good_turing_coverage",
     "hash_eval",
     "log_convolve",
@@ -127,7 +122,6 @@ __all__ = [
     "sample_sketch_dirmult",
     "sample_zipf_sequence",
     "sketch_deserialize",
-    "sketch_insert",
     "sketch_load",
     "sketch_merge",
     "sketch_save",

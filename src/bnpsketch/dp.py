@@ -20,7 +20,7 @@ import numpy as np
 
 from .numkit import DomainError, digamma
 from .report import EstimateReport, FittedPrior
-from .sketch import Sketch
+from .sketch import Sketch, count_multiset
 
 __all__ = [
     "dp_coverage",
@@ -39,12 +39,6 @@ _HARMONIC_CUTOFF = 1_000_000
 DEFAULT_THETA_BOUNDS = (1e-3, 1e9)
 
 
-def _counts_groups(sketch: Sketch):
-    """Unique bucket counts and their multiplicities (uint64 -> float)."""
-    vals, mult = np.unique(np.asarray(sketch.counts, dtype=np.int64), return_counts=True)
-    return vals.astype(float), mult.astype(float)
-
-
 def _check_theta(theta) -> float:
     theta = float(theta)
     if theta <= 0.0:
@@ -52,22 +46,61 @@ def _check_theta(theta) -> float:
     return theta
 
 
+# The private evaluators below read the count multiset (vals, mult) from
+# ``count_multiset``, so a caller that needs several quantities groups once.
+
+
+def _loglik(vals, mult, n, width, theta) -> float:
+    from scipy.special import gammaln
+
+    z = theta / width
+    log_multinom = gammaln(n + 1) - float(np.dot(mult, gammaln(vals + 1.0)))
+    log_rf_buckets = float(np.dot(mult, gammaln(z + vals))) - mult.sum() * gammaln(z)
+    log_rf_total = gammaln(theta + n) - gammaln(theta)
+    return log_multinom + log_rf_buckets - log_rf_total
+
+
+def _coverage(vals, mult, n, width, theta, r) -> float:
+    """Sum over counts c >= r of C(c, r) * r! * (theta/J)_(c-r) / (theta/J)_(c), scaled."""
+    from scipy.special import gammaln
+
+    if r == 0:
+        return theta / (theta + n)
+    keep = vals >= r
+    if not keep.any():
+        return 0.0
+    vals, mult = vals[keep], mult[keep]
+    z = theta / width
+    log_fall = gammaln(vals + 1.0) - gammaln(vals - r + 1.0)  # c!/(c-r)! = C(c,r)*r!
+    log_rf_ratio = gammaln(z + vals - r) - gammaln(z + vals)
+    logs = log_fall + log_rf_ratio + np.log(mult)
+    m = logs.max()
+    total = math.exp(m) * float(np.sum(np.exp(logs - m)))
+    return z * total / (theta + n)
+
+
+def _distinct(vals, mult, width, theta) -> float:
+    z = theta / width
+    c_max = int(vals.max(initial=0))
+    if c_max == 0:
+        return 0.0
+    if c_max <= _HARMONIC_CUTOFF:
+        prefix = np.concatenate(([0.0], np.cumsum(1.0 / (z + np.arange(c_max, dtype=float)))))
+        per_count = prefix[vals]
+    else:
+        psi_z = digamma(z)
+        per_count = np.array([digamma(z + c) - psi_z for c in vals])
+    return z * float(np.dot(mult, per_count))
+
+
 def dp_loglik(sketch: Sketch, theta) -> float:
     """Log marginal likelihood of the bucket counts given theta.
 
     log multinomial coefficient - log (theta)_(n) + sum_j log (theta/J)_(c_j).
     """
-    from scipy.special import gammaln
-
     theta = _check_theta(theta)
-    vals, mult = _counts_groups(sketch)
-    n = sketch.n
-    J = sketch.spec.width
-    z = theta / J
-    log_multinom = gammaln(n + 1) - float(np.dot(mult, gammaln(vals + 1.0)))
-    log_rf_buckets = float(np.dot(mult, gammaln(z + vals))) - mult.sum() * gammaln(z)
-    log_rf_total = gammaln(theta + n) - gammaln(theta)
-    return log_multinom + log_rf_buckets - log_rf_total
+    vals, mult = count_multiset(sketch.counts)
+    return _loglik(vals, mult, sketch.n, sketch.spec.width, theta)
 
 
 def dp_fit_theta(sketch: Sketch, bounds=DEFAULT_THETA_BOUNDS):
@@ -84,9 +117,10 @@ def dp_fit_theta(sketch: Sketch, bounds=DEFAULT_THETA_BOUNDS):
         raise DomainError(f"need 0 < lo < hi, got {bounds}")
     if sketch.n == 0:
         raise DomainError("cannot fit theta on an empty sketch (flat likelihood)")
+    vals, mult = count_multiset(sketch.counts)
 
     def f(log_t):
-        return dp_loglik(sketch, math.exp(log_t))
+        return _loglik(vals, mult, sketch.n, sketch.spec.width, math.exp(log_t))
 
     a, b = math.log(lo), math.log(hi)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -115,16 +149,6 @@ def dp_fit_theta(sketch: Sketch, bounds=DEFAULT_THETA_BOUNDS):
     return theta_hat, boundary
 
 
-def _log_coverage_terms(vals, theta, J, r):
-    """log of C(c, r) * r! * (theta/J)_(c-r) / (theta/J)_(c) per unique count."""
-    from scipy.special import gammaln
-
-    z = theta / J
-    log_fall = gammaln(vals + 1.0) - gammaln(vals - r + 1.0)  # c!/(c-r)! = C(c,r)*r!
-    log_rf_ratio = gammaln(z + vals - r) - gammaln(z + vals)
-    return log_fall + log_rf_ratio
-
-
 def dp_coverage(sketch: Sketch, theta, r: int) -> float:
     """Estimated probability mass of symbols with sample frequency r.
 
@@ -136,24 +160,16 @@ def dp_coverage(sketch: Sketch, theta, r: int) -> float:
     r = int(r)
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    n = sketch.n
-    if r == 0:
-        return theta / (theta + n)
-    vals, mult = _counts_groups(sketch)
-    keep = vals >= r
-    if not keep.any():
-        return 0.0
-    vals, mult = vals[keep], mult[keep]
-    z = theta / sketch.spec.width
-    logs = _log_coverage_terms(vals, theta, sketch.spec.width, r) + np.log(mult)
-    m = logs.max()
-    total = math.exp(m) * float(np.sum(np.exp(logs - m)))
-    return z * total / (theta + n)
+    vals, mult = count_multiset(sketch.counts)
+    return _coverage(vals, mult, sketch.n, sketch.spec.width, theta, r)
 
 
 def dp_coverage_profile(sketch: Sketch, theta, r_max: int) -> np.ndarray:
     """Coverage estimates for every order r = 0..r_max."""
-    return np.array([dp_coverage(sketch, theta, r) for r in range(int(r_max) + 1)])
+    theta = _check_theta(theta)
+    vals, mult = count_multiset(sketch.counts)
+    n, width = sketch.n, sketch.spec.width
+    return np.array([_coverage(vals, mult, n, width, theta, r) for r in range(int(r_max) + 1)])
 
 
 def dp_freq_counts(sketch: Sketch, theta, r: int) -> float:
@@ -162,7 +178,8 @@ def dp_freq_counts(sketch: Sketch, theta, r: int) -> float:
     if r < 1:
         raise DomainError(f"frequency order must be >= 1, got {r}")
     theta = _check_theta(theta)
-    return (theta + sketch.n) / r * dp_coverage(sketch, theta, r)
+    vals, mult = count_multiset(sketch.counts)
+    return (theta + sketch.n) / r * _coverage(vals, mult, sketch.n, sketch.spec.width, theta, r)
 
 
 def dp_distinct(sketch: Sketch, theta) -> float:
@@ -175,18 +192,8 @@ def dp_distinct(sketch: Sketch, theta) -> float:
     integer z although the difference is finite).
     """
     theta = _check_theta(theta)
-    vals, mult = _counts_groups(sketch)
-    z = theta / sketch.spec.width
-    c_max = int(vals.max(initial=0.0))
-    if c_max == 0:
-        return 0.0
-    if c_max <= _HARMONIC_CUTOFF:
-        prefix = np.concatenate(([0.0], np.cumsum(1.0 / (z + np.arange(c_max, dtype=float)))))
-        per_count = prefix[vals.astype(np.int64)]
-    else:
-        psi_z = digamma(z)
-        per_count = np.array([digamma(z + c) - psi_z for c in vals])
-    return z * float(np.dot(mult, per_count))
+    vals, mult = count_multiset(sketch.counts)
+    return _distinct(vals, mult, sketch.spec.width, theta)
 
 
 def dp_distinct_digamma_literal(sketch: Sketch, theta) -> float:
@@ -228,20 +235,19 @@ def dp_report(
         provenance = "given"
     else:
         raise DomainError(f"unknown fit mode {fit!r} for the zero-discount prior")
-    c_max = int(np.asarray(sketch.counts, dtype=np.int64).max(initial=0))
-    if r_max is None:
-        r_max = c_max
-    r_max = int(r_max)
-    coverage = {r: float(dp_coverage(sketch, theta_hat, r)) for r in range(r_max + 1)}
-    freq = {r: float(dp_freq_counts(sketch, theta_hat, r)) for r in range(1, r_max + 1)}
+    vals, mult = count_multiset(sketch.counts)
+    n, width = sketch.n, sketch.spec.width
+    r_max = int(vals[-1]) if r_max is None else int(r_max)
+    coverage = {r: float(_coverage(vals, mult, n, width, theta_hat, r)) for r in range(r_max + 1)}
+    freq = {r: float((theta_hat + n) / r * coverage[r]) for r in range(1, r_max + 1)}
     report = EstimateReport(
-        n=sketch.n,
-        width=sketch.spec.width,
+        n=n,
+        width=width,
         prior=FittedPrior(alpha=0.0, theta=theta_hat, provenance=provenance, boundary_hit=boundary),
         method="dp-exact",
         coverage=coverage,
         freq_counts=freq,
-        distinct=float(dp_distinct(sketch, theta_hat)),
+        distinct=float(_distinct(vals, mult, width, theta_hat)),
         mc_stderr=None,
         wall_time=time.perf_counter() - t0,
     )

@@ -9,18 +9,15 @@ the estimators built on top of them need orders up to 1e5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "DomainError",
-    "GfcRow",
     "GfcTable",
     "digamma",
     "gfc_direct",
-    "gfc_row",
     "log_convolve",
     "log_correlate",
     "log_rising_factorial",
@@ -121,25 +118,6 @@ def digamma(x):
     return acc + math.log(x) - 0.5 / x + series
 
 
-@dataclass(frozen=True)
-class GfcRow:
-    """One row of generalized factorial coefficients, in log space.
-
-    ``log_values[v]`` holds log C(u, v; alpha) for v = 0..u, where the
-    coefficients expand the rising factorial (alpha*t)_(u) in the basis of
-    rising factorials (t)_(v).  For u >= 1 the v = 0 entry is exactly zero
-    (log -inf); all entries 1 <= v <= u are strictly positive for
-    alpha in (0, 1).
-    """
-
-    u: int
-    alpha: float
-    log_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_values", np.asarray(self.log_values, dtype=float))
-
-
 def _check_alpha(alpha) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -164,27 +142,17 @@ def _gfc_next_row(row: np.ndarray, u: int, alpha: float) -> np.ndarray:
     return nxt
 
 
-def gfc_row(u: int, alpha) -> GfcRow:
-    """Row u of the generalized factorial coefficients for alpha in (0, 1).
-
-    Computed by the triangular recursion in log space; only one row is kept
-    during the sweep, so memory is O(u).
-    """
-    alpha = _check_alpha(alpha)
-    u = int(u)
-    if u < 0:
-        raise DomainError(f"u must be >= 0, got {u}")
-    row = np.array([0.0])
-    for uu in range(u):
-        row = _gfc_next_row(row, uu, alpha)
-    return GfcRow(u=u, alpha=alpha, log_values=row)
-
-
 class GfcTable:
     """Caches every generalized-factorial-coefficient row up to a max order.
 
+    Row u holds log C(u, v; alpha) for v = 0..u: the coefficients that expand
+    the rising factorial (alpha*t)_(u) in the basis of rising factorials
+    (t)_(v), alpha in (0, 1).  For u >= 1 the v = 0 entry is exactly zero
+    (log -inf) and every entry 1 <= v <= u is strictly positive.  Rows come
+    from the triangular recursion in log space.
+
     The exact sketched-data estimators revisit rows for many nearby orders
-    (one per coverage order per bucket); recomputing each row from scratch
+    (one per coverage order per distinct bucket count); recomputing each row from scratch
     would turn an O(n^2) sweep into O(n^3).  Memory is O(u_max^2), acceptable
     for the exact-mode cap of a few thousand.
     """

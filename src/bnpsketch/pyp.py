@@ -5,10 +5,12 @@ coefficients over the Cartesian product of per-bucket latent block counts,
 which is astronomically large as written.  Every summand, however, factors
 as f(t) * prod_s g_s(i_s) where t = |i| is the latent total block count, so
 the whole sum collapses to sum_t f(t) * exp(W[t]) with W the log-space
-convolution of the per-bucket coefficient sequences.  That makes the exact
-estimators O(J * n^2) instead of exponential, practical to a few thousand
-observations; beyond the cap a Monte Carlo representation over distinct-count
-chains takes over (with the documented upward bias for large n).
+convolution of the per-bucket coefficient sequences.  A bucket's sequence
+depends only on its count, so the work runs over the U <= sqrt(2n) distinct
+counts: the exact estimators are O(U * n^2) instead of exponential,
+practical to a few thousand observations; beyond the cap a Monte Carlo
+representation over distinct-count chains takes over (with the documented
+upward bias for large n).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .numkit import (
     logsumexp,
 )
 from .report import EstimateReport, FittedPrior
-from .sketch import Sketch, buckets_u64, prehash_u64
+from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -59,78 +61,77 @@ class ExactCapError(DomainError):
 class LogBlockWeights:
     """Log-space machinery of the latent total-block-count expansion.
 
-    per_bucket[s][i] = log of (coefficient expanding bucket s's count) / J^i;
-    total[t] sums every assignment with t latent blocks overall; prefix[i] /
-    suffix[i] hold the running convolutions over buckets before/after
-    position i, enabling leave-one-bucket-out replacement without
-    reconvolving everything.
+    values[k] is a distinct occupied bucket count and multiplicity[k] the
+    number of buckets holding it; per_count[k][i] = log of (coefficient
+    expanding count values[k]) / J^i; total[t] sums every assignment with t
+    latent blocks overall; without_one[k] is the same sum with one bucket of
+    count values[k] left out.
     """
 
-    counts: np.ndarray
-    alpha: float
-    width: int
-    per_bucket: list
-    prefix: list
-    suffix: list
+    values: np.ndarray
+    multiplicity: np.ndarray
+    per_count: list
+    without_one: list
     total: np.ndarray
 
-    def loo_total(self, j: int, replacement: np.ndarray) -> np.ndarray:
-        """Total weights with bucket j's sequence replaced."""
-        left = self.prefix[j]
-        right = self.suffix[j + 1]
-        return log_convolve(log_convolve(left, replacement), right)
 
-    def without_bucket(self, j: int) -> np.ndarray:
-        return log_convolve(self.prefix[j], self.suffix[j + 1])
-
-
-def block_weights(counts, alpha, width: int | None = None, cap: int = DEFAULT_EXACT_CAP) -> LogBlockWeights:
-    """Build the per-bucket sequences and their convolutions.
-
-    counts are the bucket counts; width defaults to len(counts) and fixes the
-    1/J^i attenuation.  Totals above the cap raise ``ExactCapError`` pointing
-    at the Monte Carlo path.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    n = int(counts.sum())
+def _check_cap(n: int, cap: int | None) -> None:
     if cap is not None and n > cap:
         raise ExactCapError(
             f"exact mode handles totals up to {cap}, got n={n}; "
             "use the Monte Carlo estimator (pyp_coverage_mc) instead"
         )
+
+
+def block_weights(counts, alpha, width: int | None = None, cap: int = DEFAULT_EXACT_CAP) -> LogBlockWeights:
+    """Build the per-count sequences and their convolutions.
+
+    counts are the bucket counts (empty buckets are neutral); width defaults
+    to len(counts) and fixes the 1/J^i attenuation.  Totals above the cap
+    raise ``ExactCapError`` pointing at the Monte Carlo path.
+
+    The m buckets sharing a count c contribute g_c^{*m}, so the work runs
+    over the U distinct counts: the leave-one-out weights of count c are
+    g_c^{*(m-1)} convolved with the prefix and suffix products of the other
+    groups.
+    """
+    counts = np.asarray(counts)
+    values, mult = count_multiset(counts)
+    _check_cap(sum(c * m for c, m in zip(values.tolist(), mult.tolist())), cap)
     width = int(width) if width is not None else int(counts.size)
-    alpha = float(alpha)
-    table = GfcTable(alpha)
+    occupied = values > 0
+    values, mult = values[occupied], mult[occupied]
+    table = GfcTable(float(alpha))
     log_j = math.log(width)
-    per_bucket = []
-    for c in counts:
-        c = int(c)
-        g = table.row(c) - np.arange(c + 1) * log_j
-        per_bucket.append(g)
+    per_count = [table.row(c) - np.arange(c + 1) * log_j for c in values.tolist()]
+    powers = []  # g_c^{*(m-1)}
+    for g, m in zip(per_count, mult.tolist()):
+        power = np.array([0.0])
+        for _ in range(m - 1):
+            power = log_convolve(power, g)
+        powers.append(power)
+    groups = [log_convolve(power, g) for g, power in zip(per_count, powers)]  # g_c^{*m}
     prefix = [np.array([0.0])]
-    for g in per_bucket:
-        prefix.append(log_convolve(prefix[-1], g))
+    for w in groups:
+        prefix.append(log_convolve(prefix[-1], w))
     suffix = [np.array([0.0])]
-    for g in reversed(per_bucket):
-        suffix.append(log_convolve(g, suffix[-1]))
+    for w in reversed(groups):
+        suffix.append(log_convolve(w, suffix[-1]))
     suffix.reverse()
+    without_one = [
+        log_convolve(log_convolve(prefix[k], power), suffix[k + 1]) for k, power in enumerate(powers)
+    ]
     return LogBlockWeights(
-        counts=counts,
-        alpha=alpha,
-        width=width,
-        per_bucket=per_bucket,
-        prefix=prefix,
-        suffix=suffix,
-        total=prefix[-1],
+        values=values, multiplicity=mult, per_count=per_count, without_one=without_one, total=prefix[-1]
     )
 
 
 class _ExactEngine:
     """Shared state for exact estimates at many coverage orders.
 
-    Leave-one-out weights and the numerator correlation per bucket are
-    independent of the order r, so a full profile costs barely more than a
-    single order.
+    Leave-one-out weights and the numerator correlation per distinct count
+    are independent of the order r, so a full profile costs barely more than
+    a single order.  The correlations are built on first use.
     """
 
     def __init__(self, sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP):
@@ -138,11 +139,8 @@ class _ExactEngine:
         self.params = params
         self.n = sketch.n
         self.width = sketch.spec.width
-        counts = np.asarray(sketch.counts, dtype=np.int64)
-        occupied = np.flatnonzero(counts)
-        self.occ_counts = counts[occupied]
-        self.c_max = int(counts.max(initial=0))
-        self.weights = block_weights(self.occ_counts, params.alpha, width=self.width, cap=cap)
+        self.weights = block_weights(sketch.counts, params.alpha, width=self.width, cap=cap)
+        self.c_max = int(self.weights.values.max(initial=0))
         self.table = GfcTable(params.alpha)
         theta, alpha = params.theta, params.alpha
         ratio = theta / alpha
@@ -151,14 +149,13 @@ class _ExactEngine:
         self.log_den = logsumexp(self.weights.total + self.logf_den)
         self.log_num_full = logsumexp(self.weights.total + self.logf_num)
         self.log_j = math.log(self.width)
-        self._corr_cache: dict[int, np.ndarray] = {}
+        self._correlations = [None] * self.weights.values.size
 
-    def _numerator_correlation(self, idx: int) -> np.ndarray:
-        """F[i] = logsumexp_t exp(W_without_bucket[t]) * f_num(t + i), i = 0..c."""
-        if idx not in self._corr_cache:
-            w_minus = self.weights.without_bucket(idx)
-            self._corr_cache[idx] = log_correlate(w_minus, self.logf_num)
-        return self._corr_cache[idx]
+    def _numerator_correlation(self, k: int) -> np.ndarray:
+        """F[i] = logsumexp_t exp(without_one[k][t]) * f_num(t + i), i = 0..values[k]."""
+        if self._correlations[k] is None:
+            self._correlations[k] = log_correlate(self.weights.without_one[k], self.logf_num)
+        return self._correlations[k]
 
     def log_coverage(self, r: int) -> float:
         """log of the coverage estimate at order r (-inf when it is zero)."""
@@ -177,20 +174,16 @@ class _ExactEngine:
             # every bucket keeps its own sequence, so the leave-one-out sum
             # is the full one and the bucket sum contributes a factor J
             return log_pre + self.log_j + self.log_num_full - self.log_den
+        values, mult = self.weights.values, self.weights.multiplicity
         terms = []
-        for idx, c in enumerate(self.occ_counts):
-            c = int(c)
-            if c < r:
-                continue
+        for k in range(int(np.searchsorted(values, r)), values.size):
+            c = int(values[k])
             g_repl = self.table.row(c - r) - np.arange(c - r + 1) * self.log_j
-            corr = self._numerator_correlation(idx)
-            log_num = logsumexp(g_repl + corr[: c - r + 1])
+            log_num = logsumexp(g_repl + self._numerator_correlation(k)[: c - r + 1])
             log_binom = (
                 math.lgamma(c + 1) - math.lgamma(r + 1) - math.lgamma(c - r + 1)
             )
-            terms.append(log_binom + log_num)
-        if not terms:
-            return -np.inf
+            terms.append(math.log(mult[k]) + log_binom + log_num)
         return log_pre + logsumexp(np.array(terms)) - self.log_den
 
     def coverage(self, r: int) -> float:
@@ -198,9 +191,9 @@ class _ExactEngine:
 
     def loglik(self) -> float:
         theta = self.params.theta
-        counts = self.occ_counts
-        log_multinom = math.lgamma(self.n + 1) - float(
-            np.sum([math.lgamma(int(c) + 1) for c in counts])
+        w = self.weights
+        log_multinom = math.lgamma(self.n + 1) - sum(
+            m * math.lgamma(c + 1) for c, m in zip(w.values.tolist(), w.multiplicity.tolist())
         )
         log_rf_total = float(log_rising_factorial_prefix(theta, self.n)[self.n])
         return log_multinom - log_rf_total + self.log_den
@@ -576,6 +569,8 @@ def pyp_report(
     zero-discount estimators at the fitted theta (method tag "dp-exact").
     """
     t0 = time.perf_counter()
+    if method == "exact":
+        _check_cap(sketch.n, cap)  # before a fit, which an over-cap sketch would waste
     if fit == "eb-wasserstein":
         wf = wasserstein_fit(sketch, seed=seed, **(fit_kwargs or {}))
         prior = wf.prior
@@ -596,11 +591,7 @@ def pyp_report(
         rep.wall_time = time.perf_counter() - t0
         return rep
 
-    counts = np.asarray(sketch.counts, dtype=np.int64)
-    c_max = int(counts.max(initial=0))
-    if r_max is None:
-        r_max = c_max
-    r_max = int(r_max)
+    r_max = int(count_multiset(sketch.counts)[0][-1]) if r_max is None else int(r_max)
     theta, alpha = params.theta, params.alpha
     n = sketch.n
     coverage: dict[int, float] = {}

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numkit import DomainError
+
 __all__ = [
     "MERSENNE_P",
     "HashSpec",
@@ -27,11 +29,13 @@ __all__ = [
     "BadVersionError",
     "TruncatedError",
     "ChecksumError",
+    "BadHeaderError",
+    "CountSumError",
+    "count_multiset",
     "crc32c",
     "hash_eval",
     "prehash_bytes",
     "sketch_deserialize",
-    "sketch_insert",
     "sketch_merge",
     "sketch_serialize",
 ]
@@ -65,6 +69,14 @@ class TruncatedError(SketchFormatError):
 
 class ChecksumError(SketchFormatError):
     pass
+
+
+class BadHeaderError(SketchFormatError):
+    """A header field lies outside its range (width 0, a = 0, b >= p, ...)."""
+
+
+class CountSumError(SketchFormatError):
+    """The stored counts do not sum to the stored n."""
 
 
 def _make_crc32c_table():
@@ -230,6 +242,13 @@ def hash_eval(spec: HashSpec, token: bytes) -> int:
     return ((spec.a * x + spec.b) % MERSENNE_P) % spec.width
 
 
+def _exact_sum(counts: np.ndarray) -> int:
+    """Sum of uint64 counts without wrapping: each 32-bit half sums below 2^56."""
+    hi = int((counts >> np.uint64(32)).sum())
+    lo = int((counts & np.uint64(0xFFFFFFFF)).sum())
+    return (hi << 32) + lo
+
+
 @dataclass
 class Sketch:
     """Bucket counts for one hash draw: counts[j] observations landed in j.
@@ -249,7 +268,7 @@ class Sketch:
             self.counts = np.asarray(self.counts, dtype=np.uint64)
             if self.counts.shape != (self.spec.width,):
                 raise ValueError("counts length must equal the hash width")
-            if int(self.counts.sum()) != self.n:
+            if _exact_sum(self.counts) != self.n:
                 raise ValueError("counts must sum to n")
 
     def insert(self, token: bytes) -> None:
@@ -294,10 +313,16 @@ class Sketch:
         )
 
 
-def sketch_insert(sketch: Sketch, token: bytes) -> Sketch:
-    """Functional wrapper over ``Sketch.insert``; returns the same sketch."""
-    sketch.insert(token)
-    return sketch
+def count_multiset(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct bucket counts (ascending, int64) and the number of buckets holding each.
+
+    The estimators read the counts only through this multiset.  Counts of
+    2^63 or more do not fit their signed arithmetic and raise DomainError.
+    """
+    values, mult = np.unique(np.asarray(counts, dtype=np.uint64), return_counts=True)
+    if values.size and values[-1] >= np.uint64(1 << 63):
+        raise DomainError(f"bucket count {int(values[-1])} exceeds the estimators' range (< 2^63)")
+    return values.astype(np.int64), mult
 
 
 def sketch_merge(s1: Sketch, s2: Sketch) -> Sketch:
@@ -334,8 +359,14 @@ def sketch_deserialize(data: bytes) -> Sketch:
     if stored_crc != actual_crc:
         raise ChecksumError(f"checksum mismatch: stored {stored_crc:#x}, computed {actual_crc:#x}")
     counts = np.frombuffer(data, dtype="<u8", count=width, offset=_HEADER.size)
-    spec = HashSpec(a=a, b=b, width=width, symbol_seed=symbol_seed)
-    return Sketch(spec=spec, counts=counts.astype(np.uint64), n=n)
+    try:
+        spec = HashSpec(a=a, b=b, width=width, symbol_seed=symbol_seed)
+    except ValueError as exc:
+        raise BadHeaderError(str(exc)) from None
+    try:
+        return Sketch(spec=spec, counts=counts.astype(np.uint64), n=n)
+    except ValueError as exc:  # the only check left is the counts' sum
+        raise CountSumError(str(exc)) from None
 
 
 def sketch_load(path) -> Sketch:

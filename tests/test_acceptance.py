@@ -112,7 +112,7 @@ def test_03_combinatorics_suite():
     detail = []
     for alpha in (0.1, 0.5, 0.9):
         for u in range(13):
-            row = np.exp(nk.gfc_row(u, alpha).log_values)
+            row = np.exp(nk.GfcTable(alpha).row(u))
             for v in range(u + 1):
                 want = nk.gfc_direct(u, v, alpha)
                 if abs(row[v] - want) > 1e-9 * max(abs(want), 1e-300):
@@ -120,7 +120,7 @@ def test_03_combinatorics_suite():
                     detail.append(f"recursion vs direct ({u},{v},{alpha})")
     for alpha in (0.25, 0.75):
         for u in range(11):
-            row = np.exp(nk.gfc_row(u, alpha).log_values)
+            row = np.exp(nk.GfcTable(alpha).row(u))
             for t in (0.5, 1.0, 2.5):
                 lhs = sum(row[v] * math.exp(nk.log_rising_factorial(t, v)) for v in range(u + 1))
                 rhs = math.exp(nk.log_rising_factorial(alpha * t, u))
@@ -129,7 +129,7 @@ def test_03_combinatorics_suite():
                     detail.append(f"defining identity ({u},{alpha},{t})")
     alpha = 1e-6
     for u in range(1, 11):
-        row = nk.gfc_row(u, alpha).log_values
+        row = nk.GfcTable(alpha).row(u)
         for v in range(1, u + 1):
             scaled = math.exp(row[v] - v * math.log(alpha))
             if not math.isclose(scaled, nk.stirling_signless(u, v), rel_tol=1e-4):

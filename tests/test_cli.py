@@ -1,16 +1,17 @@
 """Command-line surface: tokenizers, flag validation, exit codes, artifacts."""
 
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from bnpsketch import cli
+from bnpsketch import cli, pyp
 from bnpsketch.experiment import ExperimentConfig, csv_header, experiment_csv
 from bnpsketch.report import EstimateReport
-from bnpsketch.sketch import HashSpec, Sketch, sketch_load, sketch_save
+from bnpsketch.sketch import HashSpec, Sketch, crc32c, sketch_load, sketch_save, sketch_serialize
 from bnpsketch.tokenizers import make_tokenizer
 
 
@@ -134,6 +135,40 @@ class TestEstimateCommand:
                        "--alpha", "0.5", "--theta", "1", "--method", "exact")
         assert code == cli.EXIT_NUMERIC
         assert "Monte Carlo" in capsys.readouterr().err
+
+    def test_over_cap_fit_exits_numeric_before_fitting(self, tmp_path, capsys, monkeypatch):
+        def fit_must_not_run(*args, **kwargs):
+            raise AssertionError("the fit ran on an over-cap sketch")
+
+        monkeypatch.setattr(pyp, "wasserstein_fit", fit_must_not_run)
+        spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        path = tmp_path / "big.sketch"
+        sketch_save(Sketch(spec, counts=np.array([2000, 1500], dtype=np.uint64), n=3500), path)
+        code = run_cli("estimate", "--sketch", str(path), "--prior", "pyp",
+                       "--fit", "eb-wasserstein")
+        assert code == cli.EXIT_NUMERIC
+        assert "Monte Carlo" in capsys.readouterr().err
+
+    def test_count_past_signed_range_exits_numeric(self, tmp_path, capsys):
+        spec = HashSpec(a=1, b=0, width=3, symbol_seed=0)
+        counts = np.array([2**63, 5, 0], dtype=np.uint64)
+        path = tmp_path / "huge.sketch"
+        sketch_save(Sketch(spec, counts=counts, n=2**63 + 5), path)
+        for fit in (["--fit", "none", "--theta", "1"], ["--fit", "eb-mle"]):
+            code = run_cli("estimate", "--sketch", str(path), "--prior", "dp", *fit)
+            assert code == cli.EXIT_NUMERIC
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_counts_not_summing_to_n_is_data_error(self, tmp_path):
+        # a blob whose counts wrap past 2^64 to the stored n, with a valid CRC
+        spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        blob = bytearray(sketch_serialize(Sketch(spec, counts=np.array([1, 0], dtype=np.uint64), n=1)))
+        blob[-20:-4] = np.array([2**63, 2**63 + 1], dtype="<u8").tobytes()
+        blob[-4:] = struct.pack("<I", crc32c(bytes(blob[:-4])))
+        path = tmp_path / "wrap.sketch"
+        path.write_bytes(bytes(blob))
+        assert run_cli("estimate", "--sketch", str(path), "--prior", "dp",
+                       "--fit", "eb-mle") == cli.EXIT_DATA
 
     def test_corrupt_sketch_is_data_error(self, tmp_path):
         path = tmp_path / "bad.sketch"

@@ -12,6 +12,7 @@ from bnpsketch.numkit import DomainError
 from bnpsketch.oracle import partition_stats, raw_bnp_coverage
 from bnpsketch.genmodel import RawSample
 from bnpsketch.report import EstimateReport
+from bnpsketch.sketch import HashSpec, Sketch
 from conftest import make_sketch
 
 
@@ -170,6 +171,26 @@ class TestReport:
         assert back.freq_counts == rep.freq_counts
         assert back.prior.theta == rep.prior.theta
         assert back.prior.provenance == "eb-mle"
+
+    @pytest.mark.parametrize("width", [1, 16, 1 << 10, 1 << 16])
+    def test_matches_per_order_functions(self, rng, width):
+        # the report groups the counts once; the public functions group per
+        # call; both must produce the same floats
+        # a uniform body plus a heavy head of a few hundred repeats
+        ids = np.concatenate([rng.integers(0, 3 * width, 10 * width), rng.zipf(1.5, 500)])
+        s = Sketch(HashSpec.random(width, seed=width))
+        s.insert_ids(ids)
+        for fit, theta in (("none", 3.7), ("eb-mle", None)):
+            rep = dp.dp_report(s, theta=theta, fit=fit)
+            theta_hat = rep.prior.theta
+            r_max = int(s.counts.max())
+            assert sorted(rep.coverage) == list(range(r_max + 1))
+            cov = [dp.dp_coverage(s, theta_hat, r) for r in range(r_max + 1)]
+            freq = [dp.dp_freq_counts(s, theta_hat, r) for r in range(1, r_max + 1)]
+            assert np.array_equal([rep.coverage[r] for r in range(r_max + 1)], cov)
+            assert np.array_equal([rep.freq_counts[r] for r in range(1, r_max + 1)], freq)
+            assert np.array_equal(dp.dp_coverage_profile(s, theta_hat, r_max), cov)
+            assert rep.distinct == dp.dp_distinct(s, theta_hat)
 
     def test_requires_theta_without_fit(self):
         with pytest.raises(DomainError):

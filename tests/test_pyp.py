@@ -8,7 +8,16 @@ import pytest
 
 from bnpsketch import dp, pyp
 from bnpsketch.genmodel import PriorParams, sample_pyp_sequence
-from bnpsketch.numkit import DomainError, gfc_direct
+from bnpsketch.numkit import (
+    DomainError,
+    GfcTable,
+    gfc_direct,
+    log_convolve,
+    log_correlate,
+    log_rising_factorial,
+    log_rising_factorial_prefix,
+    logsumexp,
+)
 from bnpsketch.sketch import HashSpec, Sketch
 from conftest import make_sketch
 
@@ -63,12 +72,67 @@ def brute_force_loglik(counts, width, alpha, theta):
     return math.log(mult * total / rising(theta, n))
 
 
+def per_bucket_exact(counts, width, alpha, theta):
+    """Exact profile, log-likelihood and distinct count, one bucket at a time.
+
+    The reference builds the leave-one-out weights of every occupied bucket
+    from prefix and suffix convolutions over the buckets, with no grouping
+    of equal counts.
+    """
+    n = int(sum(counts))
+    occ = [int(c) for c in counts if c > 0]
+    table = GfcTable(alpha)
+    log_j = math.log(width)
+    seqs = [table.row(c) - np.arange(c + 1) * log_j for c in occ]
+    prefix = [np.array([0.0])]
+    for g in seqs:
+        prefix.append(log_convolve(prefix[-1], g))
+    suffix = [np.array([0.0])]
+    for g in reversed(seqs):
+        suffix.append(log_convolve(g, suffix[-1]))
+    suffix.reverse()
+    logf_den = log_rising_factorial_prefix(theta / alpha, n)
+    logf_num = log_rising_factorial_prefix(1.0 + theta / alpha, n)
+    log_den = logsumexp(prefix[-1] + logf_den)
+    profile = []
+    for r in range(max(occ, default=0) + 1):
+        log_pre = (
+            math.log(theta / width) + log_rising_factorial(1.0 - alpha, r) - math.log(theta + n)
+        )
+        if r == 0:
+            log_num = math.log(width) + logsumexp(prefix[-1] + logf_num)
+        else:
+            terms = []
+            for j, c in enumerate(occ):
+                if c >= r:
+                    corr = log_correlate(log_convolve(prefix[j], suffix[j + 1]), logf_num)
+                    g_repl = table.row(c - r) - np.arange(c - r + 1) * log_j
+                    terms.append(
+                        math.log(math.comb(c, r)) + logsumexp(g_repl + corr[: c - r + 1])
+                    )
+            log_num = logsumexp(terms)
+        profile.append(math.exp(log_pre + log_num - log_den))
+    loglik = (
+        math.lgamma(n + 1)
+        - sum(math.lgamma(c + 1) for c in occ)
+        - log_rising_factorial(theta, n)
+        + log_den
+    )
+    distinct = (theta + n) / alpha * profile[0] - theta / alpha
+    return np.array(profile), loglik, distinct
+
+
+def assert_rel_close(got, want, rel, floor=0.0):
+    assert abs(got - want) <= rel * max(abs(want), floor), (got, want)
+
+
 class TestBlockWeights:
     def test_single_count_sequence(self):
         w = pyp.block_weights([1], 0.5, width=4)
-        assert w.per_bucket[0][0] == -np.inf
-        assert math.isclose(math.exp(w.per_bucket[0][1]), 0.5 / 4, rel_tol=1e-12)
-        np.testing.assert_allclose(w.total, w.per_bucket[0])
+        assert w.values.tolist() == [1] and w.multiplicity.tolist() == [1]
+        assert w.per_count[0][0] == -np.inf
+        assert math.isclose(math.exp(w.per_count[0][1]), 0.5 / 4, rel_tol=1e-12)
+        np.testing.assert_allclose(w.total, w.per_count[0])
 
     def test_two_singletons_top_weight(self):
         w = pyp.block_weights([1, 1], 0.5, width=2)
@@ -80,29 +144,60 @@ class TestBlockWeights:
         assert w.total[0] == -np.inf
 
     def test_leave_one_out_matches_direct_rebuild(self):
-        counts = [3, 1, 2]
-        w = pyp.block_weights(counts, 0.3, width=3)
-        from bnpsketch.numkit import GfcTable, log_convolve
-
+        counts = [3, 1, 2, 3, 0, 1, 1]
+        w = pyp.block_weights(counts, 0.3, width=7)
+        assert w.values.tolist() == [1, 2, 3]
+        assert w.multiplicity.tolist() == [3, 1, 2]
         table = GfcTable(0.3)
-        for j in range(3):
-            repl = table.row(max(counts[j] - 1, 0)) - np.arange(
-                max(counts[j] - 1, 0) + 1
-            ) * math.log(3)
-            via_parts = w.loo_total(j, repl)
+        for k, c in enumerate(w.values.tolist()):
+            rest = list(counts)
+            rest.remove(c)
             direct = np.array([0.0])
-            for s, c in enumerate(counts):
-                g = (
-                    repl
-                    if s == j
-                    else table.row(c) - np.arange(c + 1) * math.log(3)
-                )
-                direct = log_convolve(direct, g)
-            np.testing.assert_allclose(via_parts, direct, atol=1e-10)
+            for c_s in rest:
+                direct = log_convolve(direct, table.row(c_s) - np.arange(c_s + 1) * math.log(7))
+            np.testing.assert_allclose(w.without_one[k], direct, atol=1e-10)
 
     def test_cap(self):
         with pytest.raises(pyp.ExactCapError):
             pyp.block_weights([1500, 1000], 0.5, width=2)
+
+
+class TestGroupedEngine:
+    """The exact engine over distinct counts against the per-bucket reference."""
+
+    def check(self, counts, width, alpha, theta):
+        s = make_sketch(counts, width=width)
+        params = PriorParams(alpha, theta)
+        want_profile, want_ll, want_distinct = per_bucket_exact(counts, width, alpha, theta)
+        rep = pyp.pyp_report(s, params=params)
+        got = np.array([rep.coverage[r] for r in range(want_profile.size)])
+        for g, w in zip(got, want_profile):
+            assert_rel_close(g, w, 1e-10)
+        # a single occupied bucket is certain: log-likelihood 0
+        assert_rel_close(pyp.pyp_loglik(s, params), want_ll, 1e-10, floor=1.0)
+        assert_rel_close(pyp.pyp_distinct(s, params), want_distinct, 1e-10)
+
+    @pytest.mark.parametrize("alpha,theta", PARAM_GRID)
+    def test_random_sketches_with_repeated_counts(self, rng, alpha, theta):
+        for _ in range(3):
+            width = int(rng.integers(8, 40))
+            n = int(rng.integers(20, 120))
+            counts = np.bincount(rng.integers(0, width, n), minlength=width)
+            assert np.unique(counts[counts > 0]).size < np.count_nonzero(counts)
+            self.check(counts.tolist(), width, alpha, theta)
+
+    def test_empty_sketch(self):
+        s = make_sketch([0, 0, 0])
+        params = PriorParams(0.5, 2.0)
+        assert pyp.pyp_coverage_exact(s, params, 0) == 1.0
+        assert pyp.pyp_coverage_exact(s, params, 1) == 0.0
+        assert pyp.pyp_loglik(s, params) == 0.0
+        assert pyp.pyp_distinct(s, params) == 0.0
+
+    @pytest.mark.parametrize("alpha,theta", PARAM_GRID)
+    def test_single_bucket(self, alpha, theta):
+        self.check([7], 1, alpha, theta)
+        self.check([0, 0, 5, 0], 4, alpha, theta)
 
 
 class TestExactEstimators:
@@ -401,3 +496,11 @@ class TestReport:
     def test_zero_discount_requires_dp_route(self):
         with pytest.raises(DomainError):
             pyp.pyp_report(make_sketch([2, 1]), params=PriorParams(0.0, 1.0))
+
+    def test_exact_cap_checked_before_the_fit(self, monkeypatch):
+        def fit_must_not_run(*args, **kwargs):
+            raise AssertionError("the fit ran on an over-cap sketch")
+
+        monkeypatch.setattr(pyp, "wasserstein_fit", fit_must_not_run)
+        with pytest.raises(pyp.ExactCapError, match="Monte Carlo"):
+            pyp.pyp_report(make_sketch([1500, 1000]), fit="eb-wasserstein", method="exact")

@@ -1,5 +1,7 @@
 """Hashing, streaming counts, merge, and the wire format."""
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnpsketch import sketch as sk
+from bnpsketch.numkit import DomainError
 
 
 class TestCrc32c:
@@ -127,6 +130,28 @@ class TestSketchCounts:
         assert int(s.counts.sum()) == s.n == len(ids)
 
 
+class TestCountRange:
+    def test_wrapping_sum_rejected(self):
+        # 2^63 + 2^63 wraps to 0 in uint64 arithmetic
+        spec = sk.HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        with pytest.raises(ValueError, match="sum to n"):
+            sk.Sketch(spec, counts=np.array([2**63, 2**63], dtype=np.uint64), n=0)
+        big = sk.Sketch(spec, counts=np.array([2**63, 2**63 - 1], dtype=np.uint64), n=2**64 - 1)
+        assert big.n == 2**64 - 1
+
+    def test_multiset(self):
+        values, mult = sk.count_multiset(np.array([3, 0, 1, 3, 0, 3], dtype=np.uint64))
+        assert values.dtype == np.int64
+        assert values.tolist() == [0, 1, 3] and mult.tolist() == [2, 1, 3]
+        values, _ = sk.count_multiset(np.array([2**63 - 1], dtype=np.uint64))
+        assert values.tolist() == [2**63 - 1]
+
+    def test_multiset_rejects_counts_past_signed_range(self):
+        for c in (2**63, 2**64 - 1):
+            with pytest.raises(DomainError):
+                sk.count_multiset(np.array([c, 5], dtype=np.uint64))
+
+
 class TestMerge:
     def test_identity(self):
         spec = sk.HashSpec.random(8, seed=3)
@@ -198,6 +223,60 @@ class TestWireFormat:
         path = tmp_path / "x.sketch"
         sk.sketch_save(s, path)
         assert sk.sketch_load(path) == s
+
+
+    def _with_crc(self, payload: bytes) -> bytes:
+        return payload + struct.pack("<I", sk.crc32c(payload))
+
+    def _header(self, width=4, a=1, b=0, seed=0, n=0, version=1) -> bytes:
+        return struct.pack("<4sBIQQQQ", b"BNPS", version, width, a, b, seed, n)
+
+    def test_crafted_header_fields(self):
+        with pytest.raises(sk.BadHeaderError):
+            sk.sketch_deserialize(self._with_crc(self._header(width=0)))
+        with pytest.raises(sk.BadHeaderError):
+            sk.sketch_deserialize(self._with_crc(self._header(a=0) + bytes(32)))
+        with pytest.raises(sk.BadHeaderError):
+            sk.sketch_deserialize(self._with_crc(self._header(b=sk.MERSENNE_P) + bytes(32)))
+
+    def test_counts_not_summing_to_n(self):
+        body = np.array([1, 2, 0, 4], dtype="<u8").tobytes()
+        with pytest.raises(sk.CountSumError):
+            sk.sketch_deserialize(self._with_crc(self._header(n=8) + body))
+        wraps = np.array([2**63, 2**63, 0, 0], dtype="<u8").tobytes()
+        with pytest.raises(sk.CountSumError):
+            sk.sketch_deserialize(self._with_crc(self._header(n=0) + wraps))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_format_errors_escape(self, data):
+        kind = data.draw(st.sampled_from(["truncate", "flip", "crafted"]))
+        if kind == "crafted":
+            width = data.draw(st.integers(0, 6))
+            header = self._header(
+                width=width,
+                a=data.draw(st.sampled_from([0, 1, sk.MERSENNE_P - 1, sk.MERSENNE_P, 2**64 - 1])),
+                b=data.draw(st.sampled_from([0, sk.MERSENNE_P - 1, sk.MERSENNE_P, 2**64 - 1])),
+                seed=data.draw(st.integers(0, 2**64 - 1)),
+                n=data.draw(st.integers(0, 2**64 - 1)),
+                version=data.draw(st.sampled_from([0, 1, 2])),
+            )
+            counts = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=width, max_size=width))
+            blob = self._with_crc(header + np.array(counts, dtype="<u8").tobytes())
+        else:
+            blob = bytearray(sk.sketch_serialize(self._sample()))
+            if kind == "truncate":
+                blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+            else:
+                for pos in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=4)):
+                    blob[pos // 8] ^= 1 << (pos % 8)
+                if data.draw(st.booleans()):
+                    blob = self._with_crc(bytes(blob[:-4]))
+        try:
+            back = sk.sketch_deserialize(bytes(blob))
+        except sk.SketchFormatError:
+            return
+        assert back.n == int(back.counts.astype(object).sum())
 
 
 class TestHashSpecValidation:
