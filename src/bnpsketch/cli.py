@@ -345,6 +345,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OverflowError as exc:
+        print(f"numerical-domain error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         # DomainError and its subclasses land here together with other
         # numerical range violations

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dp, oracle, pyp
 from .genmodel import PriorParams, sample_pyp_sequence, sample_zipf_sequence
-from .sketch import HashSpec, Sketch
+from .sketch import HashSpec, Sketch, buckets_u64, prehash_tokens
 
 __all__ = ["ExperimentConfig", "csv_header", "run_experiment", "write_csv"]
 
@@ -188,6 +188,12 @@ def _load_file_weights(path, tokenizer_spec):
 _FILE_CACHE: dict = {}
 
 
+def _file_sketch(spec: HashSpec, tokens: list, idx: np.ndarray) -> Sketch:
+    """Sketch of the draws ``tokens[i] for i in idx``: each token hashed once, the draws counted at once."""
+    j = buckets_u64(prehash_tokens(tokens, spec.symbol_seed), spec.a, spec.b, spec.width)
+    return Sketch(spec, counts=np.bincount(j[idx], minlength=spec.width), n=len(idx))
+
+
 def _run_cell(args):
     cfg, cell_idx, rep = args
     label, gparams, n = cfg.cells()[cell_idx]
@@ -233,8 +239,7 @@ def _run_cell(args):
             atom_weights=weights,
             model="file",
         )
-        for i in idx:
-            sketch.insert(tokens[int(i)])
+        sketch = _file_sketch(spec, tokens, idx)
         stats = oracle.partition_stats(sample)
         k_true = stats.k
         truth_cov = oracle.true_coverage_profile(sample, cfg.r_report)

@@ -13,8 +13,10 @@ checksummed (CRC-32C) and bit-exact across platforms.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -45,6 +47,13 @@ MAX_WIDTH = 1 << 24
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_TOKEN_BATCH = 1 << 16  # tokens hashed per lockstep batch in insert_tokens
+_SCALAR_LANES = 32  # unfinished tokens below which one numpy step costs more than Python
+
+# CRC-32C lanes: one numpy step costs about as much as 20 bytes of the byte
+# loop, so 64-byte lanes pay off from about 32 lanes (2 KB) on
+_CRC_LANE = 64
+_CRC_MIN_LANES = 32
 
 _MAGIC = b"BNPS"
 _VERSION = 1
@@ -81,25 +90,89 @@ class CountSumError(SketchFormatError):
 
 def _make_crc32c_table():
     poly = 0x82F63B78  # reflected Castagnoli polynomial
-    table = np.empty(256, dtype=np.uint64)
+    table = []
     for i in range(256):
         crc = i
         for _ in range(8):
             crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table[i] = crc
-    return table
+        table.append(crc)
+    return tuple(table)
 
 
 _CRC32C_TABLE = _make_crc32c_table()
 
 
+def _gf2_apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A GF(2)-linear map of 32-bit words, stored as four 256-entry byte tables."""
+    return op[0][x & 0xFF] ^ op[1][(x >> 8) & 0xFF] ^ op[2][(x >> 16) & 0xFF] ^ op[3][x >> 24]
+
+
+def _gf2_tables(images: np.ndarray) -> np.ndarray:
+    """Byte tables of the linear map sending bit i to ``images[i]``."""
+    bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)  # (256, 8)
+    op = np.bitwise_xor.reduce(np.where(bits, images.reshape(4, 1, 8), 0), axis=2)
+    op.flags.writeable = False
+    return op
+
+
+@functools.cache
+def _crc_zeros_op(level: int) -> np.ndarray:
+    """The CRC register map that feeds 2^level zero bytes, squared up from one byte."""
+    if level == 0:
+        units = [_CRC32C_TABLE[1 << i] for i in range(8)] + [1 << i for i in range(24)]
+        return _gf2_tables(np.array(units, dtype=np.uint32))
+    half = _crc_zeros_op(level - 1)
+    units = np.left_shift(np.uint32(1), np.arange(32, dtype=np.uint32))
+    return _gf2_tables(_gf2_apply(half, _gf2_apply(half, units)))
+
+
+def _crc_lanes(lanes: np.ndarray, register: int) -> int:
+    """Raw CRC register after the rows of ``lanes`` (k rows of 2^level bytes), in order.
+
+    Every row runs through the byte table at once, the first from
+    ``register``, the rest from 0.  The register map is linear, so a row
+    pair folds as zeros(2^level)(left) ^ right; the tree of such folds, with
+    the zero-feed map squared at each level, gives the register of the
+    whole.  Leading zero rows pad k to a power of two and change nothing.
+    """
+    k, span = lanes.shape
+    table = np.array(_CRC32C_TABLE, dtype=np.uint32)
+    regs = np.zeros(k, dtype=np.uint32)
+    regs[0] = register
+    for column in np.ascontiguousarray(lanes.T):
+        regs = table[(regs ^ column) & 0xFF] ^ (regs >> 8)
+    regs = np.concatenate([np.zeros((1 << (k - 1).bit_length()) - k, dtype=np.uint32), regs])
+    level = span.bit_length() - 1
+    while regs.size > 1:
+        regs = _gf2_apply(_crc_zeros_op(level), regs[0::2]) ^ regs[1::2]
+        level += 1
+    return int(regs[0])
+
+
 def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli) of ``data``; table-driven, no dependencies."""
+    """CRC-32C (Castagnoli) of ``data``, continuing from ``crc``; table-driven.
+
+    ``crc32c(b, crc32c(a)) == crc32c(a + b)``.  A payload of at least
+    ``_CRC_MIN_LANES`` lanes of ``_CRC_LANE`` bytes runs lane-parallel in
+    numpy (``_crc_lanes``); the bytes after the last whole lane, and shorter
+    payloads, run byte by byte.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    register = crc ^ 0xFFFFFFFF
+    k = buf.size // _CRC_LANE if buf.size >= _CRC_LANE * _CRC_MIN_LANES else 0
+    if k:
+        register = _crc_lanes(buf[: k * _CRC_LANE].reshape(k, _CRC_LANE), register)
     table = _CRC32C_TABLE
-    crc = crc ^ 0xFFFFFFFF
+    for b in buf[k * _CRC_LANE :].tobytes():
+        register = table[(register ^ b) & 0xFF] ^ (register >> 8)
+    return register ^ 0xFFFFFFFF
+
+
+def _fnv1a(h: int, data: bytes) -> int:
+    """FNV-1a over ``data``, continuing from the 64-bit state ``h``."""
     for b in data:
-        crc = int(table[(crc ^ b) & 0xFF]) ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    return h
 
 
 def _fmix64(x: int) -> int:
@@ -113,6 +186,16 @@ def _fmix64(x: int) -> int:
     return x
 
 
+def _fmix64_u64(h: np.ndarray) -> np.ndarray:
+    """``_fmix64`` over a uint64 array, in place."""
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    return h
+
+
 def prehash_bytes(token: bytes, symbol_seed: int) -> int:
     """Deterministic seeded 64-bit pre-hash of a byte token.
 
@@ -124,6 +207,35 @@ def prehash_bytes(token: bytes, symbol_seed: int) -> int:
     for b in token:
         h = ((h ^ b) * _FNV_PRIME) & _MASK64
     return _fmix64(h)
+
+
+def prehash_tokens(tokens, symbol_seed: int) -> np.ndarray:
+    """``prehash_bytes`` of every token of a list, in lockstep.
+
+    One numpy step per byte position runs FNV-1a over all tokens still
+    unfinished; sorted longest first, those are a prefix.  Once at most
+    ``_SCALAR_LANES`` remain, they finish byte by byte, so the numpy steps
+    number at most total bytes / ``_SCALAR_LANES`` however long one token is.
+    """
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    pos = (np.cumsum(lengths) - lengths)[order]
+    buf = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    h = np.full(lens.size, _FNV_OFFSET ^ (symbol_seed & _MASK64), dtype=np.uint64)
+    steps = int(lens[_SCALAR_LANES]) if lens.size > _SCALAR_LANES else 0
+    active = lens.size - np.searchsorted(lens[::-1], np.arange(steps), side="right")
+    prime = np.uint64(_FNV_PRIME)
+    for m in active.tolist():
+        live = h[:m]
+        live ^= buf[pos[:m]]
+        live *= prime
+        pos[:m] += 1
+    for i in np.flatnonzero(lens > steps).tolist():
+        h[i] = _fnv1a(int(h[i]), tokens[order[i]][steps:])
+    out = np.empty_like(h)
+    out[order] = h
+    return _fmix64_u64(out)
 
 
 def prehash_u64(ids, symbol_seed: int) -> np.ndarray:
@@ -159,13 +271,7 @@ def prehash_u64(ids, symbol_seed: int) -> np.ndarray:
         digit = (ids // div) % np.uint64(10)
         updated = (h ^ (digit + zero_char)) * prime
         h = np.where(active, updated, h)
-    # avalanche
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(0x94D049BB133111EB)
-    h ^= h >> np.uint64(31)
-    return h
+    return _fmix64_u64(h)
 
 
 def _fold61(y: np.ndarray) -> np.ndarray:
@@ -279,8 +385,15 @@ class Sketch:
         self.n += 1
 
     def insert_tokens(self, tokens) -> None:
-        for token in tokens:
-            self.insert(token)
+        """Insert every byte token of an iterable; the same buckets as ``insert``.
+
+        The iterable is read ``_TOKEN_BATCH`` tokens at a time and each batch
+        is hashed in lockstep (``prehash_tokens``).  A batch that would take
+        n to 2^64 raises OverflowError before it changes any count.
+        """
+        it = iter(tokens)
+        while batch := list(islice(it, _TOKEN_BATCH)):
+            self._add_prehashed(prehash_tokens(batch, self.spec.symbol_seed))
 
     def insert_ids(self, ids) -> None:
         """Bulk-insert nonnegative integer ids via the vectorized hash path.
@@ -288,17 +401,20 @@ class Sketch:
         Identical buckets to inserting each id's decimal string.
         """
         ids = np.asarray(ids)
-        if ids.size == 0:
-            return
         if (ids < 0).any():
             raise ValueError("ids must be nonnegative")
-        if self.n + ids.size >= 1 << 64:
+        self._add_prehashed(prehash_u64(ids, self.spec.symbol_seed))
+
+    def _add_prehashed(self, x: np.ndarray) -> None:
+        """Count pre-hashes into their buckets, all or none.
+
+        The counts sum to n, so n + len(x) < 2^64 keeps every bucket in range.
+        """
+        if self.n + x.size >= 1 << 64:
             raise OverflowError("bucket counters would exceed 2^64 - 1")
-        x = prehash_u64(ids, self.spec.symbol_seed)
         j = buckets_u64(x, self.spec.a, self.spec.b, self.spec.width)
-        add = np.bincount(j, minlength=self.spec.width).astype(np.uint64)
-        self.counts += add
-        self.n += int(ids.size)
+        self.counts += np.bincount(j, minlength=self.spec.width).astype(np.uint64)
+        self.n += int(x.size)
 
     def copy(self) -> "Sketch":
         return Sketch(spec=self.spec, counts=self.counts.copy(), n=self.n)
@@ -329,6 +445,8 @@ def sketch_merge(s1: Sketch, s2: Sketch) -> Sketch:
     """Elementwise sum of two sketches built with identical hash specs."""
     if s1.spec != s2.spec:
         raise ValueError("sketches were built with different hash specs")
+    if s1.n + s2.n >= 1 << 64:
+        raise OverflowError("merged bucket counters would exceed 2^64 - 1")
     return Sketch(spec=s1.spec, counts=s1.counts + s2.counts, n=s1.n + s2.n)
 
 
@@ -355,7 +473,7 @@ def sketch_deserialize(data: bytes) -> Sketch:
     if len(data) != expected:
         raise TruncatedError(f"expected {expected} bytes, got {len(data)}")
     stored_crc = struct.unpack_from("<I", data, expected - 4)[0]
-    actual_crc = crc32c(data[: expected - 4])
+    actual_crc = crc32c(memoryview(data)[: expected - 4])
     if stored_crc != actual_crc:
         raise ChecksumError(f"checksum mismatch: stored {stored_crc:#x}, computed {actual_crc:#x}")
     counts = np.frombuffer(data, dtype="<u8", count=width, offset=_HEADER.size)

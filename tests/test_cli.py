@@ -277,6 +277,16 @@ class TestMergeCommand:
                        "--output", str(tmp_path / "merged.sketch")) == 0
         assert (tmp_path / "merged.sketch").read_bytes() == (tmp_path / "all.sketch").read_bytes()
 
+    def test_count_overflow_exits_numeric(self, tmp_path, capsys):
+        spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        path = tmp_path / "half.sketch"
+        sketch_save(Sketch(spec, counts=np.array([2**63, 0], dtype=np.uint64), n=2**63), path)
+        code = run_cli("merge", str(path), str(path), "--output", str(tmp_path / "m.sketch"))
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical-domain error:") and "Traceback" not in err
+        assert not (tmp_path / "m.sketch").exists()
+
     def test_width_mismatch(self, tmp_path):
         sketch_save(Sketch(HashSpec.random(8, seed=0)), tmp_path / "a.sketch")
         sketch_save(Sketch(HashSpec.random(16, seed=0)), tmp_path / "b.sketch")
@@ -336,10 +346,10 @@ class TestExperimentCommand:
         parallel = experiment_csv(ExperimentConfig.from_dict(dict(base, workers=2)))
         assert serial == parallel
 
-    def test_file_model(self, tmp_path):
+    def _file_config(self, tmp_path):
         data = tmp_path / "tokens.txt"
         data.write_bytes(b"".join(f"ip{i % 23}\n".encode() for i in range(200)))
-        cfg = ExperimentConfig.from_dict(
+        return ExperimentConfig.from_dict(
             {
                 "model": "file",
                 "path": str(data),
@@ -351,11 +361,39 @@ class TestExperimentCommand:
                 "estimator": {"prior": "dp", "fit": "eb-mle"},
             }
         )
+
+    def test_file_model(self, tmp_path):
+        cfg = self._file_config(tmp_path)
         rows = __import__("bnpsketch.experiment", fromlist=["run_experiment"]).run_experiment(cfg)
         assert len(rows) == 2
         header = csv_header(1)
         truth = float(rows[0][header.index("truth_missing_mass")])
         assert 0.0 <= truth <= 1.0
+
+
+    def test_file_model_matches_per_token_insert(self, tmp_path, monkeypatch):
+        from bnpsketch import experiment
+
+        def per_token(spec, tokens, idx):
+            s = Sketch(spec)
+            for i in idx:
+                s.insert(tokens[int(i)])
+            return s
+
+        tokens = [f"ip{i}".encode() for i in range(23)]
+        idx = np.random.default_rng(7).integers(0, 23, 500)
+        spec = HashSpec.random(8, seed=7)
+        assert experiment._file_sketch(spec, tokens, idx) == per_token(spec, tokens, idx)
+
+        def without_wall_time(text):
+            rows = [line.split(",") for line in text.splitlines()]
+            col = rows[0].index("wall_time")
+            return [row[:col] + row[col + 1 :] for row in rows]
+
+        cfg = self._file_config(tmp_path)
+        batched = experiment_csv(cfg)
+        monkeypatch.setattr(experiment, "_file_sketch", per_token)
+        assert without_wall_time(batched) == without_wall_time(experiment_csv(cfg))
 
 
 class TestBundledConfigs:

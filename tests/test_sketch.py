@@ -12,12 +12,62 @@ from bnpsketch import sketch as sk
 from bnpsketch.numkit import DomainError
 
 
+def _crc32c_table():
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_TABLE = _crc32c_table()
+
+
+def crc32c_bytewise(data: bytes, crc: int = 0) -> int:
+    """The byte-at-a-time table loop: the oracle of the lane-parallel kernel."""
+    crc ^= 0xFFFFFFFF
+    for b in data:
+        crc = _TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF
+
+
+_LANE = sk._CRC_LANE
+_LANED = _LANE * sk._CRC_MIN_LANES  # shortest payload that runs lane-parallel
+
+
+def _payload(seed: int, size: int) -> bytes:
+    return np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8).tobytes()
+
+
 class TestCrc32c:
     def test_check_vector(self):
         assert sk.crc32c(b"123456789") == 0xE3069283
+        assert sk.crc32c(memoryview(b"123456789")) == 0xE3069283
 
     def test_empty(self):
         assert sk.crc32c(b"") == 0
+
+    @pytest.mark.parametrize("lanes", [sk._CRC_MIN_LANES - 1, sk._CRC_MIN_LANES, 33, 64, 100, 1000])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_lane_multiples_match_bytewise(self, lanes, extra):
+        data = _payload(lanes, lanes * _LANE + extra)
+        assert sk.crc32c(data) == crc32c_bytewise(data)
+        assert sk.crc32c(data, 0x1234ABCD) == crc32c_bytewise(data, 0x1234ABCD)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(0, _LANED + 4 * _LANE), st.sampled_from([_LANED - 1, _LANED, _LANED + 1])),
+        st.integers(0, _LANED + 2 * _LANE),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bytewise_and_chains(self, seed, size_a, size_b, crc):
+        a, b = _payload(seed, size_a), _payload(seed + 1, size_b)
+        assert sk.crc32c(a) == crc32c_bytewise(a)
+        assert sk.crc32c(a, crc) == crc32c_bytewise(a, crc)
+        assert sk.crc32c(b, sk.crc32c(a)) == crc32c_bytewise(a + b)
 
 
 class TestPrehash:
@@ -130,6 +180,67 @@ class TestSketchCounts:
         assert int(s.counts.sum()) == s.n == len(ids)
 
 
+def _per_token(spec, tokens):
+    s = sk.Sketch(spec)
+    for t in tokens:
+        s.insert(t)
+    return s
+
+
+class TestInsertTokens:
+    TEXT = (
+        "The quick brown fox, the lazy dog!\n"
+        "\n"
+        ">chr1 header\nACGTACGTTTGA\nacgtNNAC\n"
+        "naïve café — ünïcode words 🙂 and ctrl\x01bytes\r\n"
+        "  spaces   and\ttabs  \n"
+    ).encode("utf-8") * 40
+
+    @pytest.mark.parametrize("tokenizer", ["lines", "words", "kmer:1", "kmer:7", "ngram:1", "ngram:3"])
+    def test_matches_insert_for_every_tokenizer(self, tokenizer):
+        import io
+
+        from bnpsketch.tokenizers import make_tokenizer
+
+        spec = sk.HashSpec.random(256, seed=21)
+        tokens = list(make_tokenizer(tokenizer)(io.BytesIO(self.TEXT)))
+        s = sk.Sketch(spec)
+        s.insert_tokens(make_tokenizer(tokenizer)(io.BytesIO(self.TEXT)))
+        assert s == _per_token(spec, tokens)
+
+    def test_empty_long_and_non_ascii_tokens(self, rng):
+        spec = sk.HashSpec.random(64, seed=22)
+        short = [rng.integers(0, 256, int(k), dtype=np.uint8).tobytes() for k in rng.integers(0, 24, 500)]
+        tokens = short[:250] + [b"", "ß∂ƒ".encode(), bytes(range(256)) * 3906 + b"x" * 64] + short[250:] + [b""]
+        assert max(map(len, tokens)) == 10**6
+        s = sk.Sketch(spec)
+        s.insert_tokens(iter(tokens))
+        assert s == _per_token(spec, tokens)
+        assert s.n == len(tokens)
+
+    def test_stream_longer_than_one_batch(self):
+        spec = sk.HashSpec.random(1024, seed=23)
+        tokens = [f"10.{i % 7}.{i % 251}.{i % 13}".encode() for i in range(sk._TOKEN_BATCH + 1234)]
+        s = sk.Sketch(spec)
+        s.insert_tokens(t for t in tokens)
+        assert s == _per_token(spec, tokens)
+
+    def test_empty_stream(self):
+        s = sk.Sketch(sk.HashSpec.random(8, seed=24))
+        s.insert_tokens(iter(()))
+        assert s.n == 0 and not s.counts.any()
+
+    def test_overflow_leaves_sketch_unchanged(self):
+        spec = sk.HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        counts = np.array([2**64 - 3, 0], dtype=np.uint64)
+        s = sk.Sketch(spec, counts=counts.copy(), n=2**64 - 3)
+        with pytest.raises(OverflowError):
+            s.insert_tokens([b"a", b"b", b"c"])
+        assert s.n == 2**64 - 3 and np.array_equal(s.counts, counts)
+        s.insert_tokens([b"a", b"b"])
+        assert s.n == 2**64 - 1 == sk._exact_sum(s.counts)
+
+
 class TestCountRange:
     def test_wrapping_sum_rejected(self):
         # 2^63 + 2^63 wraps to 0 in uint64 arithmetic
@@ -158,6 +269,14 @@ class TestMerge:
         s = sk.Sketch(spec)
         s.insert_ids(np.arange(10))
         assert sk.sketch_merge(s, sk.Sketch(spec)) == s
+
+    def test_overflow_raises(self):
+        spec = sk.HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        half = sk.Sketch(spec, counts=np.array([2**63, 0], dtype=np.uint64), n=2**63)
+        with pytest.raises(OverflowError):
+            sk.sketch_merge(half, half)
+        below = sk.Sketch(spec, counts=np.array([2**63 - 1, 0], dtype=np.uint64), n=2**63 - 1)
+        assert sk.sketch_merge(below, below).n == 2**64 - 2
 
     def test_mismatched_specs(self):
         s1 = sk.Sketch(sk.HashSpec.random(8, seed=3))
