@@ -224,6 +224,8 @@ def dp_report(
     which every estimate is exactly zero).
     """
     t0 = time.perf_counter()
+    if r_max is not None and r_max < 0:
+        raise DomainError(f"r_max must be >= 0, got {r_max}")
     boundary = False
     if fit == "eb-mle":
         theta_hat, boundary = dp_fit_theta(sketch, bounds=theta_bounds)

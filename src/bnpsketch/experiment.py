@@ -41,6 +41,8 @@ _BASE_COLUMNS = [
     "k_hat",
 ]
 _TAIL_COLUMNS = ["method", "mc_stderr", "wall_time"]
+# the estimator keys that _run_cell reads
+_ESTIMATOR_KEYS = {"prior", "fit", "r_max", "theta", "alpha", "method", "mc_samples", "debias"}
 
 
 @dataclass
@@ -138,6 +140,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.r_report < 0:
             raise ValueError("r_report must be >= 0")
+        est = self.estimator
+        if set(est) - _ESTIMATOR_KEYS or est.get("prior", "dp") not in ("dp", "pyp"):
+            raise ValueError(
+                f"estimator {est} needs prior dp or pyp and keys among {sorted(_ESTIMATOR_KEYS)}"
+            )
 
     def cells(self) -> list:
         """Grid cells: (model label, generator params, n)."""

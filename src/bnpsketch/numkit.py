@@ -279,13 +279,18 @@ def log_convolve(a, b) -> np.ndarray:
 def log_correlate(a, b) -> np.ndarray:
     """Valid-mode log-space correlation: out[t] = logsumexp_i a[i] + b[i+t].
 
-    Requires len(b) >= len(a); output has length len(b) - len(a) + 1.
+    Requires len(b) >= len(a); output has length len(b) - len(a) + 1.  The
+    loop runs over the shorter of ``a`` and the output.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if b.size < a.size:
         raise DomainError("log_correlate needs len(b) >= len(a)")
     out = np.full(b.size - a.size + 1, -np.inf)
+    if out.size < a.size:
+        for t in range(out.size):
+            out[t] = logsumexp(a + b[t : t + a.size])
+        return out
     for i in range(a.size):
         if a[i] == -np.inf:
             continue

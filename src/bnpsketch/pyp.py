@@ -7,8 +7,9 @@ as f(t) * prod_s g_s(i_s) where t = |i| is the latent total block count, so
 the whole sum collapses to sum_t f(t) * exp(W[t]) with W the log-space
 convolution of the per-bucket coefficient sequences.  A bucket's sequence
 depends only on its count, so the work runs over the U <= sqrt(2n) distinct
-counts: the exact estimators are O(U * n^2) instead of exponential,
-practical to a few thousand observations; beyond the cap a Monte Carlo
+counts, and one reverse sweep of correlations gives every leave-one-out
+numerator: the exact estimators are O(n^2) instead of exponential, practical
+to several thousand observations; beyond the cap a Monte Carlo
 representation over distinct-count chains takes over (with the documented
 upward bias for large n).
 """
@@ -63,16 +64,19 @@ class LogBlockWeights:
 
     values[k] is a distinct occupied bucket count and multiplicity[k] the
     number of buckets holding it; per_count[k][i] = log of (coefficient
-    expanding count values[k]) / J^i; total[t] sums every assignment with t
-    latent blocks overall; without_one[k] is the same sum with one bucket of
-    count values[k] left out.
+    expanding count values[k]) / J^i, from the rows of ``table``; powers[k]
+    is per_count[k]^{*(multiplicity[k] - 1)}; prefix[k] convolves the groups
+    of the counts below values[k]; total = prefix[-1] sums every assignment
+    with t latent blocks overall.
     """
 
     values: np.ndarray
     multiplicity: np.ndarray
     per_count: list
-    without_one: list
+    powers: list
+    prefix: list
     total: np.ndarray
+    table: GfcTable
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -91,9 +95,8 @@ def block_weights(counts, alpha, width: int | None = None, cap: int = DEFAULT_EX
     raise ``ExactCapError`` pointing at the Monte Carlo path.
 
     The m buckets sharing a count c contribute g_c^{*m}, so the work runs
-    over the U distinct counts: the leave-one-out weights of count c are
-    g_c^{*(m-1)} convolved with the prefix and suffix products of the other
-    groups.
+    over the U distinct counts; g_c^{*(m-1)} is kept for the leave-one-out
+    sweep of the exact engine.
     """
     counts = np.asarray(counts)
     values, mult = count_multiset(counts)
@@ -110,28 +113,23 @@ def block_weights(counts, alpha, width: int | None = None, cap: int = DEFAULT_EX
         for _ in range(m - 1):
             power = log_convolve(power, g)
         powers.append(power)
-    groups = [log_convolve(power, g) for g, power in zip(per_count, powers)]  # g_c^{*m}
     prefix = [np.array([0.0])]
-    for w in groups:
-        prefix.append(log_convolve(prefix[-1], w))
-    suffix = [np.array([0.0])]
-    for w in reversed(groups):
-        suffix.append(log_convolve(w, suffix[-1]))
-    suffix.reverse()
-    without_one = [
-        log_convolve(log_convolve(prefix[k], power), suffix[k + 1]) for k, power in enumerate(powers)
-    ]
+    for g, power in zip(per_count, powers):
+        prefix.append(log_convolve(prefix[-1], log_convolve(power, g)))
     return LogBlockWeights(
-        values=values, multiplicity=mult, per_count=per_count, without_one=without_one, total=prefix[-1]
+        values=values, multiplicity=mult, per_count=per_count, powers=powers, prefix=prefix,
+        total=prefix[-1], table=table,
     )
 
 
 class _ExactEngine:
     """Shared state for exact estimates at many coverage orders.
 
-    Leave-one-out weights and the numerator correlation per distinct count
-    are independent of the order r, so a full profile costs barely more than
-    a single order.  The correlations are built on first use.
+    numerator[k][i] = logsumexp_t W_{-k}[t] + logf_num[t + i], where W_{-k}
+    leaves one bucket of count values[k] out, does not depend on r.
+    Correlation is the adjoint of convolution, so one reverse sweep over the
+    groups yields every numerator[k], and a profile costs barely more than a
+    single order.
     """
 
     def __init__(self, sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP):
@@ -139,23 +137,21 @@ class _ExactEngine:
         self.params = params
         self.n = sketch.n
         self.width = sketch.spec.width
-        self.weights = block_weights(sketch.counts, params.alpha, width=self.width, cap=cap)
-        self.c_max = int(self.weights.values.max(initial=0))
-        self.table = GfcTable(params.alpha)
+        self.weights = w = block_weights(sketch.counts, params.alpha, width=self.width, cap=cap)
+        self.c_max = int(w.values.max(initial=0))
         theta, alpha = params.theta, params.alpha
         ratio = theta / alpha
         self.logf_den = log_rising_factorial_prefix(ratio, self.n)
         self.logf_num = log_rising_factorial_prefix(1.0 + ratio, self.n)
-        self.log_den = logsumexp(self.weights.total + self.logf_den)
-        self.log_num_full = logsumexp(self.weights.total + self.logf_num)
+        self.log_den = logsumexp(w.total + self.logf_den)
+        self.log_num_full = logsumexp(w.total + self.logf_num)
         self.log_j = math.log(self.width)
-        self._correlations = [None] * self.weights.values.size
-
-    def _numerator_correlation(self, k: int) -> np.ndarray:
-        """F[i] = logsumexp_t exp(without_one[k][t]) * f_num(t + i), i = 0..values[k]."""
-        if self._correlations[k] is None:
-            self._correlations[k] = log_correlate(self.weights.without_one[k], self.logf_num)
-        return self._correlations[k]
+        self.numerator = [None] * w.values.size
+        acc = self.logf_num  # f_num correlated with every group above k
+        for k in reversed(range(w.values.size)):
+            b = log_correlate(w.powers[k], acc)
+            self.numerator[k] = log_correlate(w.prefix[k], b)
+            acc = log_correlate(w.per_count[k], b)
 
     def log_coverage(self, r: int) -> float:
         """log of the coverage estimate at order r (-inf when it is zero)."""
@@ -178,8 +174,8 @@ class _ExactEngine:
         terms = []
         for k in range(int(np.searchsorted(values, r)), values.size):
             c = int(values[k])
-            g_repl = self.table.row(c - r) - np.arange(c - r + 1) * self.log_j
-            log_num = logsumexp(g_repl + self._numerator_correlation(k)[: c - r + 1])
+            g_repl = self.weights.table.row(c - r) - np.arange(c - r + 1) * self.log_j
+            log_num = logsumexp(g_repl + self.numerator[k][: c - r + 1])
             log_binom = (
                 math.lgamma(c + 1) - math.lgamma(r + 1) - math.lgamma(c - r + 1)
             )
@@ -198,17 +194,6 @@ class _ExactEngine:
         log_rf_total = float(log_rising_factorial_prefix(theta, self.n)[self.n])
         return log_multinom - log_rf_total + self.log_den
 
-    def freq_counts(self, r: int) -> float:
-        r = int(r)
-        if r < 1:
-            raise DomainError(f"frequency order must be >= 1, got {r}")
-        return (self.params.theta + self.n) / (r - self.params.alpha) * self.coverage(r)
-
-    def distinct(self) -> float:
-        p0 = self.coverage(0)
-        theta, alpha = self.params.theta, self.params.alpha
-        return (theta + self.n) / alpha * p0 - theta / alpha
-
 
 def pyp_loglik(sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP) -> float:
     """Exact log probability of the bucket counts under the prior."""
@@ -226,12 +211,16 @@ def pyp_freq_counts(
     sketch: Sketch, params: PriorParams, r: int, cap: int = DEFAULT_EXACT_CAP
 ) -> float:
     """Exact estimated number of distinct symbols with frequency r >= 1."""
-    return _ExactEngine(sketch, params, cap=cap).freq_counts(r)
+    if int(r) < 1:
+        raise DomainError(f"frequency order must be >= 1, got {r}")
+    p_r = pyp_coverage_exact(sketch, params, r, cap=cap)
+    return (params.theta + sketch.n) / (int(r) - params.alpha) * p_r
 
 
 def pyp_distinct(sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP) -> float:
     """Exact estimated number of distinct symbols in the un-sketched stream."""
-    return _ExactEngine(sketch, params, cap=cap).distinct()
+    p0 = pyp_coverage_exact(sketch, params, 0, cap=cap)
+    return (params.theta + sketch.n) / params.alpha * p0 - params.theta / params.alpha
 
 
 def _shifted_moments(log_x: np.ndarray):
@@ -284,16 +273,16 @@ def pyp_coverage_mc(
         raise DomainError(f"need at least 100 Monte Carlo samples, got {num_samples}")
     if debias not in ("none", "tin"):
         raise DomainError(f"unknown debias mode {debias!r}")
-    counts = np.asarray(sketch.counts, dtype=np.int64)
+    values, _ = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
+    c_max = int(values.max(initial=0))
     n = sketch.n
     width = sketch.spec.width
     theta, alpha = params.theta, params.alpha
-    c_max = int(counts.max(initial=0))
     if r > c_max:
         return 0.0, 0.0
     rng = rng_from(seed)
-    occ = np.flatnonzero(counts)
-    occ_counts = counts[occ]
+    counts = np.asarray(sketch.counts, dtype=np.int64)
+    occ_counts = counts[counts > 0]  # chains are drawn in bucket order
 
     # log (theta/alpha)_(k) lookup for chain values, and the two f tables
     ratio = theta / alpha
@@ -569,6 +558,8 @@ def pyp_report(
     zero-discount estimators at the fitted theta (method tag "dp-exact").
     """
     t0 = time.perf_counter()
+    if r_max is not None and r_max < 0:
+        raise DomainError(f"r_max must be >= 0, got {r_max}")
     if method == "exact":
         _check_cap(sketch.n, cap)  # before a fit, which an over-cap sketch would waste
     if fit == "eb-wasserstein":
@@ -595,35 +586,28 @@ def pyp_report(
     theta, alpha = params.theta, params.alpha
     n = sketch.n
     coverage: dict[int, float] = {}
-    freq: dict[int, float] = {}
     stderr: dict[int, float] | None = None
 
     if method == "exact":
         engine = _ExactEngine(sketch, params, cap=cap)
-        for r in range(r_max + 1):
-            coverage[r] = engine.coverage(r)
-            if r >= 1:
-                freq[r] = engine.freq_counts(r)
-        distinct = engine.distinct()
+        coverage = {r: engine.coverage(r) for r in range(r_max + 1)}
         tag = "pyp-exact"
     elif method == "mc":
         stderr = {}
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         children = ss.spawn(r_max + 1)
         for r in range(r_max + 1):
-            est, se = pyp_coverage_mc(sketch, params, r, mc_samples, children[r], debias=debias)
-            coverage[r] = est
-            stderr[r] = se
-            if r >= 1:
-                freq[r] = (theta + n) / (r - alpha) * est
-        distinct = (theta + n) / alpha * coverage[0] - theta / alpha
+            coverage[r], stderr[r] = pyp_coverage_mc(
+                sketch, params, r, mc_samples, children[r], debias=debias
+            )
         tag = "pyp-mc"
     elif method == "asymptotic":
         coverage[0] = pyp_missing_asymptotic(n, sketch.spec.width, params)
-        distinct = None
         tag = "pyp-asymptotic"
     else:
         raise DomainError(f"unknown method {method!r}")
+    freq = {r: (theta + n) / (r - alpha) * c for r, c in coverage.items() if r >= 1}
+    distinct = None if method == "asymptotic" else (theta + n) / alpha * coverage[0] - theta / alpha
 
     return EstimateReport(
         n=n,

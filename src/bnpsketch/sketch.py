@@ -378,9 +378,9 @@ class Sketch:
                 raise ValueError("counts must sum to n")
 
     def insert(self, token: bytes) -> None:
+        if self.n + 1 >= 1 << 64:
+            raise OverflowError("bucket counters would exceed 2^64 - 1")
         j = hash_eval(self.spec, token)
-        if self.counts[j] == np.uint64(0xFFFFFFFFFFFFFFFF):
-            raise OverflowError("bucket counter would exceed 2^64 - 1")
         self.counts[j] += np.uint64(1)
         self.n += 1
 

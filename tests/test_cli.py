@@ -159,6 +159,35 @@ class TestEstimateCommand:
             assert code == cli.EXIT_NUMERIC
             assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path_args",
+        [
+            ["--prior", "dp", "--fit", "eb-mle"],
+            ["--prior", "pyp", "--alpha", "0.5", "--theta", "1", "--method", "exact"],
+            ["--prior", "pyp", "--alpha", "0.5", "--theta", "1", "--method", "mc",
+             "--mc-samples", "200"],
+        ],
+        ids=["dp", "pyp-exact", "pyp-mc"],
+    )
+    def test_negative_r_max_exits_numeric(self, sketch_file, tmp_path, capsys, path_args):
+        out = tmp_path / "rep.json"
+        code = run_cli("estimate", "--sketch", str(sketch_file), *path_args,
+                       "--r-max", "-1", "--output", str(out))
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "r_max must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_mc_count_past_signed_range_exits_numeric(self, tmp_path, capsys):
+        spec = HashSpec(a=1, b=0, width=3, symbol_seed=0)
+        path = tmp_path / "huge.sketch"
+        sketch_save(Sketch(spec, counts=np.array([2**63, 5, 0], dtype=np.uint64), n=2**63 + 5), path)
+        code = run_cli("estimate", "--sketch", str(path), "--prior", "pyp", "--alpha", "0.5",
+                       "--theta", "1", "--method", "mc", "--r-max", "0")
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "2^63" in err and "Traceback" not in err
+
     def test_counts_not_summing_to_n_is_data_error(self, tmp_path):
         # a blob whose counts wrap past 2^64 to the stored n, with a valid CRC
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
@@ -339,6 +368,18 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
         cfg.write_text(json.dumps(dict(self.SMOKE, n=[10, 5])))
         assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
+
+    def test_bad_estimator_keys_are_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        for estimator in ({"prior": "pyp", "metod": "mc"}, {"prior": "Dp"}, {"prior": "mc"}):
+            cfg.write_text(json.dumps(dict(self.SMOKE, estimator=estimator)))
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_json_file(cfg)
+            assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
+            assert "bad experiment config" in capsys.readouterr().err
+        every_key = {"prior": "pyp", "fit": "none", "r_max": 1, "theta": 1.0, "alpha": 0.5,
+                     "method": "mc", "mc_samples": 200, "debias": "none"}
+        ExperimentConfig.from_dict(dict(self.SMOKE, estimator=every_key))
 
     def test_workers_match_serial(self, tmp_path):
         base = dict(self.SMOKE, n=[5, 10], repetitions=2)

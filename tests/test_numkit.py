@@ -211,3 +211,18 @@ class TestLogConvolve:
     def test_correlate_valid_mode(self):
         out = np.exp(nk.log_correlate(np.log([1.0, 2.0]), np.log([1.0, 1.0, 1.0])))
         np.testing.assert_allclose(out, [3.0, 3.0], rtol=1e-14)
+        # the loop runs over a when the output is at least as long, else over
+        # the output; zeros (log -inf) may sit anywhere in either input
+        rng = np.random.default_rng(5)
+        for na, nb in [(1, 1), (2, 7), (4, 7), (5, 7), (7, 7), (30, 33)]:
+            a, b = rng.random(na), rng.random(nb)
+            a[na // 2] = 0.0
+            b[0] = b[-1] = 0.0
+            with np.errstate(divide="ignore"):
+                got = np.exp(nk.log_correlate(np.log(a), np.log(b)))
+            np.testing.assert_allclose(got, np.correlate(b, a, "valid"), rtol=1e-13, atol=0)
+        inf = -np.inf
+        np.testing.assert_array_equal(nk.log_correlate([inf, 0.0], [inf, inf, 0.0]), [inf, 0.0])
+        np.testing.assert_array_equal(
+            nk.log_correlate([0.0, inf, 0.0], [inf, inf, 0.0, inf]), [0.0, inf]
+        )

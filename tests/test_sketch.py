@@ -162,6 +162,18 @@ class TestSketchCounts:
         assert s.n == 3 and int(s.counts.sum()) == 3
         assert int(s.counts[sk.hash_eval(spec, b"a")]) >= 2
 
+    def test_insert_refuses_n_past_64_bits(self):
+        spec = sk.HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        counts = np.array([2**63, 2**63 - 2], dtype=np.uint64)
+        s = sk.Sketch(spec, counts=counts.copy(), n=2**64 - 2)
+        s.insert(b"a")
+        assert s.n == 2**64 - 1 == sk._exact_sum(s.counts)
+        full = s.counts.copy()
+        with pytest.raises(OverflowError):
+            s.insert(b"b")
+        assert s.n == 2**64 - 1 and np.array_equal(s.counts, full)
+        assert sk.sketch_deserialize(sk.sketch_serialize(s)) == s
+
     def test_insert_ids_matches_tokens(self, rng):
         spec = sk.HashSpec.random(32, seed=2)
         s1, s2 = sk.Sketch(spec), sk.Sketch(spec)
