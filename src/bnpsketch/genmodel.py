@@ -97,11 +97,6 @@ class RawSample:
     def has_weights(self) -> bool:
         return self.atom_weights is not None
 
-    def weights_map(self) -> dict:
-        if not self.has_weights:
-            raise DomainError("this sample carries no atom weights")
-        return {int(i): float(w) for i, w in zip(self.atom_ids, self.atom_weights)}
-
     def instantiated_mass(self) -> float:
         if not self.has_weights:
             raise DomainError("this sample carries no atom weights")
@@ -298,57 +293,46 @@ def sample_zipf_sequence(exponent: float, vocab: int, n: int, seed) -> RawSample
 
 
 def sample_distinct_prefix(c: int, params: PriorParams, seed) -> np.ndarray:
-    """One trajectory of distinct-symbol counts, returned as [K_c, ..., K_0].
-
-    K_0 = 0 and K_1 = 1 deterministically; for i >= 2 the count increments by
-    a Bernoulli with success probability (theta + alpha*K_{i-1})/(theta+i-1),
-    the new-symbol probability of the predictive scheme after i-1
-    observations.  One trajectory therefore yields every prefix count at
-    once.
-    """
+    """One trajectory of ``distinct_chain``, returned as [K_c, ..., K_0]."""
     c = int(c)
     if c < 0:
         raise DomainError(f"c must be >= 0, got {c}")
-    rng = rng_from(seed)
-    k = np.zeros(c + 1, dtype=np.int64)
-    if c >= 1:
-        k[1] = 1
-    u = rng.random(c + 1)
+    return np.array([int(k[0]) for _, k in distinct_chain(c, params, 1, rng_from(seed))][::-1])
+
+
+def distinct_chain(c: int, params: PriorParams, size: int, rng: np.random.Generator):
+    """Walk ``size`` independent distinct-count chains, yielding (i, K_i) for i = 0..c.
+
+    K_0 = 0 and K_1 = 1; for i >= 2 the count increments by a Bernoulli with
+    success probability (theta + alpha*K_{i-1})/(theta+i-1), the new-symbol
+    probability of the predictive scheme after i-1 observations, so one walk
+    yields every prefix count.  K_i is one array updated in place: copy what
+    you keep.  Step i >= 2 draws ``rng.random(size)``, so a replay from the
+    same generator state yields the same chains.
+    """
     alpha, theta = params.alpha, params.theta
+    k = np.zeros(size, dtype=np.int64)
+    yield 0, k
+    if c >= 1:
+        k += 1
+        yield 1, k
     for i in range(2, c + 1):
-        p = (theta + alpha * k[i - 1]) / (theta + i - 1)
-        k[i] = k[i - 1] + (u[i] < p)
-    return k[::-1].copy()
+        p = (theta + alpha * k) / (theta + i - 1)
+        k += rng.random(size) < p
+        yield i, k
 
 
 def sample_distinct_pairs(
     c: int, r: int, params: PriorParams, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``size`` independent trajectories, read at depths c and c-r.
-
-    Vectorized across trajectories; used by the Monte Carlo estimator, which
-    needs the joint pair (K_{c-r}, K_c) from one chain per bucket.
-    """
+    """``size`` independent trajectories of ``distinct_chain``, read at depths c - r and c."""
     c = int(c)
     r = int(r)
     if not 0 <= r <= c:
         raise DomainError(f"need 0 <= r <= c, got r={r}, c={c}")
-    alpha, theta = params.alpha, params.theta
-    k = np.zeros(size, dtype=np.int64)
-    k_at_cr = np.zeros(size, dtype=np.int64)
-    if c >= 1:
-        k += 1
-    if c - r <= 1:
-        k_at_cr[:] = min(c - r, 1)
-        started = True
-    else:
-        started = False
-    for i in range(2, c + 1):
-        p = (theta + alpha * k) / (theta + i - 1)
-        k += rng.random(size) < p
-        if not started and i == c - r:
-            k_at_cr[:] = k
-            started = True
+    for i, k in distinct_chain(c, params, size, rng):
+        if i == c - r:
+            k_at_cr = k.copy()
     return k_at_cr, k
 
 

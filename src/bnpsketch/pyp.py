@@ -10,8 +10,8 @@ depends only on its count, so the work runs over the U <= sqrt(2n) distinct
 counts, and one reverse sweep of correlations gives every leave-one-out
 numerator: the exact estimators are O(n^2) instead of exponential, practical
 to several thousand observations; beyond the cap a Monte Carlo
-representation over distinct-count chains takes over (with the documented
-upward bias for large n).
+representation over distinct-count chains takes over (drawn per bucket under
+theta/J for a profile, under theta by ``pyp_coverage_mc``: see its docstring).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genmodel import PriorParams, crp_bucket_counts, rng_from, sample_distinct_pairs
+from .genmodel import PriorParams, crp_bucket_counts, distinct_chain, rng_from
 from .numkit import (
     DomainError,
     GfcTable,
@@ -231,6 +231,139 @@ def _shifted_moments(log_x: np.ndarray):
     return shift, float(np.mean(np.exp(log_x - shift)))
 
 
+# Working set of one block of orders of the Monte Carlo profile: orders x
+# samples cells of one float64 sum and one small-int chain read, about 9 MB.
+_MC_CELLS = 1 << 20
+
+
+def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, seed, debias: str,
+                scale: float):
+    """(coverage, stderr, diagnostics) at each of ``orders`` from one draw of the chains.
+
+    Each occupied bucket's chains are drawn under PY(alpha, scale), in bucket
+    order, from one generator.  Pass 1 walks them to depth c for Z'; pass 2
+    replays them from the states saved in pass 1, reads depth c - r for a
+    block of orders (``_MC_CELLS``) and sums w_j Z_j per order, the scale
+    entering as (scale)_(c-r)/(scale)_(c) and the lookup (scale/alpha)_(K).
+    The Tin correction is linear in Z_j, so it and the SE are applied to the
+    sum.  Diagnostics: Kish's ESS (sum w)^2/sum w^2, largest share max w/sum w.
+    """
+    params.require_estimable(need_alpha_positive=True)
+    num_samples = int(num_samples)
+    if num_samples < 100:
+        raise DomainError(f"need at least 100 Monte Carlo samples, got {num_samples}")
+    if debias not in ("none", "tin"):
+        raise DomainError(f"unknown debias mode {debias!r}")
+    values, _ = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
+    c_max = int(values.max(initial=0))
+    coverage = dict.fromkeys((int(r) for r in orders), 0.0)
+    stderr = dict(coverage)
+    if min(coverage) > c_max:
+        return coverage, stderr, {}  # every order vanishes, and nothing is drawn
+    n, width = sketch.n, sketch.spec.width
+    theta, alpha = params.theta, params.alpha
+    rng = rng_from(seed)
+    counts = np.asarray(sketch.counts, dtype=np.int64)
+    occ_counts = counts[counts > 0].tolist()  # chains are drawn in bucket order
+    chain = PriorParams(alpha, scale)
+
+    # the chain-value lookup, and the two f tables times J^(-t)
+    log_rf_chain = log_rising_factorial_prefix(scale / alpha, c_max)
+    log_scale_rf = log_rising_factorial_prefix(scale, c_max)
+    log_jt = np.arange(n + 1) * math.log(width)
+    log_f_den = log_rising_factorial_prefix(theta / alpha, n) - log_jt
+    log_f_num = log_rising_factorial_prefix(1.0 + theta / alpha, n) - log_jt
+    # log (theta/J) (1-alpha)_(r) / (theta + n), the prefactor of order r
+    log_pre = log_rising_factorial_prefix(1.0 - alpha, max(c_max, 1))
+    log_pre = math.log(theta / width) + log_pre - math.log(theta + n)
+
+    states = []
+    t_total = np.zeros(num_samples, dtype=np.int64)
+    s_total = np.zeros(num_samples)
+    for c in occ_counts:
+        states.append(rng.bit_generator.state)
+        for _, k_c in distinct_chain(c, chain, num_samples, rng):
+            pass
+        t_total += k_c
+        s_total += log_rf_chain[k_c]
+    end_state = rng.bit_generator.state
+
+    log_zden = log_f_den[t_total] - s_total
+    den_shift, den_mean = _shifted_moments(log_zden)
+    zden_sh = np.exp(log_zden - den_shift)
+    var_den = float(np.var(zden_sh, ddof=1))
+
+    def kish(w_sh):
+        total = float(np.sum(w_sh))
+        return total * total / float(np.dot(w_sh, w_sh)), float(np.max(w_sh)) / total
+
+    den_ess, den_share = kish(zden_sh)
+    diagnostics = {"ess": {}, "max_weight_share": {}, "den_ess": den_ess,
+                   "den_max_weight_share": den_share}
+
+    def finish(r, log_agg, log_prefactor):
+        num_shift, num_mean = _shifted_moments(log_agg)
+        value = 0.0
+        if num_mean > 0.0:
+            value = math.exp(num_shift - den_shift) * num_mean / den_mean
+            if debias == "tin":
+                cov = float(np.cov(np.exp(log_agg - num_shift), zden_sh, ddof=1)[0, 1])
+                value *= 1.0 + (
+                    cov / (num_samples * num_mean * den_mean)
+                    - var_den / (num_samples * den_mean**2)
+                )
+        if r == 0:  # every bucket keeps depth c_s: all J ratios coincide, with weight 1
+            value *= width
+            log_agg = math.log(width) + log_agg
+        coverage[r] = math.exp(log_prefactor) * value
+        # delta-method SE of mean(A)/mean(B) from the residuals A_i - R*B_i (no cancellation)
+        agg_shift, agg_mean = _shifted_moments(log_agg)
+        ess = share = 0.0
+        if agg_mean > 0.0:
+            agg_sh = np.exp(log_agg - agg_shift)
+            var_resid = float(np.var(agg_sh - agg_mean / den_mean * zden_sh, ddof=1))
+            stderr[r] = (math.exp(log_prefactor + agg_shift - den_shift)
+                         * math.sqrt(var_resid / num_samples) / den_mean)
+            ess, share = kish(agg_sh)
+        diagnostics["ess"][r], diagnostics["max_weight_share"][r] = ess, share
+
+    if 0 in coverage:
+        finish(0, log_f_num[t_total] - s_total, float(log_pre[0]))
+    live = sorted(r for r in coverage if 0 < r <= c_max)
+    per_block = max(1, _MC_CELLS // num_samples)
+    for lo in range(0, len(live), per_block):
+        block = live[lo : lo + per_block]
+        # sum_j w_j Z_j of each order is exp(shift) * lin
+        shift = np.full(len(block), -np.inf)
+        lin = np.zeros((len(block), num_samples))
+        reads = np.empty(lin.shape, dtype=np.min_scalar_type(-c_max))  # chain values are <= c_max
+        for c, state in zip(occ_counts, states):
+            rows = {c - r: row for row, r in enumerate(block) if r <= c}  # depth -> row
+            if not rows:
+                continue
+            rng.bit_generator.state = state
+            for i, k_c in distinct_chain(c, chain, num_samples, rng):
+                if i in rows:
+                    reads[rows[i]] = k_c
+            t_rest, s_rest = t_total - k_c, s_total - log_rf_chain[k_c]
+            for i, row in rows.items():
+                logw = math.lgamma(c + 1) - math.lgamma(c - i + 1) - math.lgamma(i + 1)
+                logw = logw + log_scale_rf[i] - log_scale_rf[c]
+                k_i = reads[row]
+                log_term = logw + (log_f_num[t_rest + k_i] - (s_rest + log_rf_chain[k_i]))
+                top = float(np.max(log_term))
+                if top > shift[row]:
+                    lin[row] *= math.exp(shift[row] - top)
+                    shift[row] = top
+                lin[row] += np.exp(log_term - shift[row])
+        rng.bit_generator.state = end_state
+        # the prefactor goes into the sum: (1-alpha)_(r) passes 1e308 from r ~ 170
+        with np.errstate(divide="ignore"):
+            for r, row_shift, row in zip(block, shift, lin):
+                finish(r, (row_shift + log_pre[r]) + np.log(row), 0.0)
+    return coverage, stderr, diagnostics
+
+
 def pyp_coverage_mc(
     sketch: Sketch,
     params: PriorParams,
@@ -258,119 +391,20 @@ def pyp_coverage_mc(
 
     which mitigates but does not remove the skew-driven overestimation at
     large n.  The reported standard error is a delta-method value for the
-    aggregated ratio and ignores the (second-order) debiasing term; once n
-    is large enough that a handful of draws carry nearly all the weight,
-    the empirical variance cannot see the missing tail and the reported SE
-    itself becomes an underestimate, so only the small-n reading is
-    quantitative.
+    aggregated ratio and ignores the (second-order) debiasing term.
+
+    The chains are drawn under the prior scale theta.  At r >= 1 that misses
+    the weight once theta*J is large (estimates many times the exact value,
+    with SEs that cannot see it), so profiles go through
+    ``pyp_report(method="mc")``, which draws under the per-bucket scale
+    theta/J; at r = 0 with few samples the prior scale's Tin-corrected
+    estimate is the closer one, and seeded r = 0 studies reproduce its draws.
     """
-    params.require_estimable(need_alpha_positive=True)
     r = int(r)
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    num_samples = int(num_samples)
-    if num_samples < 100:
-        raise DomainError(f"need at least 100 Monte Carlo samples, got {num_samples}")
-    if debias not in ("none", "tin"):
-        raise DomainError(f"unknown debias mode {debias!r}")
-    values, _ = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
-    c_max = int(values.max(initial=0))
-    n = sketch.n
-    width = sketch.spec.width
-    theta, alpha = params.theta, params.alpha
-    if r > c_max:
-        return 0.0, 0.0
-    rng = rng_from(seed)
-    counts = np.asarray(sketch.counts, dtype=np.int64)
-    occ_counts = counts[counts > 0]  # chains are drawn in bucket order
-
-    # log (theta/alpha)_(k) lookup for chain values, and the two f tables
-    ratio = theta / alpha
-    log_rf_ratio = log_rising_factorial_prefix(ratio, c_max)
-    log_f_den = log_rising_factorial_prefix(ratio, n)
-    log_f_num = log_rising_factorial_prefix(1.0 + ratio, n)
-    log_theta_rf = log_rising_factorial_prefix(theta, c_max)
-    log_j = math.log(width)
-
-    t_total = np.zeros(num_samples, dtype=np.int64)
-    s_total = np.zeros(num_samples)
-    stored = []  # (bucket count c, K_{c-r}, K_c) for buckets that admit order r
-    for c in occ_counts.tolist():
-        r_eff = r if c >= r else 0
-        k_cr, k_c = sample_distinct_pairs(c, r_eff, params, num_samples, rng)
-        t_total += k_c
-        s_total += log_rf_ratio[k_c]
-        if c >= r:
-            stored.append((c, k_cr.astype(np.int32), k_c.astype(np.int32)))
-
-    log_zden = log_f_den[t_total] - t_total * log_j - s_total
-    den_shift, den_mean = _shifted_moments(log_zden)
-    zden_sh = np.exp(log_zden - den_shift)
-    var_den = float(np.var(zden_sh, ddof=1))
-
-    log_prefactor = (
-        math.log(theta / width)
-        + float(log_rising_factorial_prefix(1.0 - alpha, max(r, 1))[r])
-        - math.log(theta + n)
-    )
-
-    def corrected_ratio(log_znum):
-        num_shift, num_mean = _shifted_moments(log_znum)
-        if num_mean == 0.0:
-            return 0.0
-        value = math.exp(num_shift - den_shift) * num_mean / den_mean
-        if debias == "tin":
-            znum_sh = np.exp(log_znum - num_shift)
-            cov = float(np.cov(znum_sh, zden_sh, ddof=1)[0, 1])
-            value *= 1.0 + (
-                cov / (num_samples * num_mean * den_mean)
-                - var_den / (num_samples * den_mean**2)
-            )
-        return value
-
-    total = 0.0
-    log_agg = np.full(num_samples, -np.inf)
-    if r == 0:
-        # every bucket (occupied or not) keeps depth c_s, so all J ratios
-        # coincide and their weights are 1
-        log_znum = log_f_num[t_total] - t_total * log_j - s_total
-        total = width * corrected_ratio(log_znum)
-        log_agg = math.log(width) + log_znum
-    else:
-        for c, k_cr, k_c in stored:
-            t_j = t_total - k_c + k_cr
-            s_j = s_total - log_rf_ratio[k_c] + log_rf_ratio[k_cr]
-            log_znum = log_f_num[t_j] - t_j * log_j - s_j
-            logw = (
-                math.lgamma(c + 1)
-                - math.lgamma(r + 1)
-                - math.lgamma(c - r + 1)
-                + log_theta_rf[c - r]
-                - log_theta_rf[c]
-            )
-            total += math.exp(logw) * corrected_ratio(log_znum)
-            np.logaddexp(log_agg, logw + log_znum, out=log_agg)
-
-    estimate = math.exp(log_prefactor) * total
-
-    # delta-method SE of the aggregated ratio mean(A)/mean(B), computed from
-    # the residuals A_i - R*B_i: algebraically the same first-order variance,
-    # but free of the catastrophic cancellation the textbook three-term form
-    # suffers when A and B are nearly proportional
-    agg_shift, agg_mean = _shifted_moments(log_agg)
-    if agg_mean > 0.0:
-        agg_sh = np.exp(log_agg - agg_shift)
-        ratio_sh = agg_mean / den_mean
-        residuals = agg_sh - ratio_sh * zden_sh
-        var_resid = float(np.var(residuals, ddof=1))
-        stderr = (
-            math.exp(log_prefactor + agg_shift - den_shift)
-            * math.sqrt(var_resid / num_samples)
-            / den_mean
-        )
-    else:
-        stderr = 0.0
-    return estimate, stderr
+    coverage, stderr, _ = _mc_profile(sketch, params, [r], num_samples, seed, debias, params.theta)
+    return coverage[r], stderr[r]
 
 
 def pyp_missing_asymptotic(n: int, width: int, params: PriorParams) -> float:
@@ -587,19 +621,16 @@ def pyp_report(
     n = sketch.n
     coverage: dict[int, float] = {}
     stderr: dict[int, float] | None = None
+    diagnostics: dict = {}
 
     if method == "exact":
         engine = _ExactEngine(sketch, params, cap=cap)
         coverage = {r: engine.coverage(r) for r in range(r_max + 1)}
         tag = "pyp-exact"
     elif method == "mc":
-        stderr = {}
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = ss.spawn(r_max + 1)
-        for r in range(r_max + 1):
-            coverage[r], stderr[r] = pyp_coverage_mc(
-                sketch, params, r, mc_samples, children[r], debias=debias
-            )
+        coverage, stderr, diagnostics = _mc_profile(
+            sketch, params, range(r_max + 1), mc_samples, seed, debias, theta / sketch.spec.width
+        )
         tag = "pyp-mc"
     elif method == "asymptotic":
         coverage[0] = pyp_missing_asymptotic(n, sketch.spec.width, params)
@@ -618,5 +649,6 @@ def pyp_report(
         freq_counts=freq,
         distinct=distinct,
         mc_stderr=stderr,
+        diagnostics=diagnostics,
         wall_time=time.perf_counter() - t0,
     )

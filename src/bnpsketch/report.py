@@ -8,6 +8,11 @@ from dataclasses import dataclass, field
 __all__ = ["EstimateReport", "FittedPrior"]
 
 
+def _by_order(d: dict) -> dict:
+    """An order-keyed dict with JSON string keys, in order."""
+    return {str(r): v for r, v in sorted(d.items())}
+
+
 @dataclass
 class FittedPrior:
     """Prior parameters plus where they came from.
@@ -47,7 +52,8 @@ class EstimateReport:
     maps r -> estimated number of distinct symbols with frequency r for
     r = 1..r_max; distinct is the estimated total number of distinct symbols.
     mc_stderr carries per-order Monte Carlo standard errors when the method
-    is sampling-based.
+    is sampling-based, and diagnostics its trust measures (a nested dict maps
+    order r -> value); an empty diagnostics dict is left out of the JSON.
     """
 
     n: int
@@ -58,24 +64,26 @@ class EstimateReport:
     freq_counts: dict = field(default_factory=dict)
     distinct: float | None = 0.0
     mc_stderr: dict | None = None
+    diagnostics: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "n": self.n,
             "width": self.width,
             "prior": self.prior.to_dict(),
             "method": self.method,
-            "coverage": {str(r): v for r, v in sorted(self.coverage.items())},
-            "freq_counts": {str(r): v for r, v in sorted(self.freq_counts.items())},
+            "coverage": _by_order(self.coverage),
+            "freq_counts": _by_order(self.freq_counts),
             "distinct": self.distinct,
-            "mc_stderr": (
-                None
-                if self.mc_stderr is None
-                else {str(r): v for r, v in sorted(self.mc_stderr.items())}
-            ),
+            "mc_stderr": None if self.mc_stderr is None else _by_order(self.mc_stderr),
             "wall_time": self.wall_time,
         }
+        if self.diagnostics:
+            out["diagnostics"] = {
+                k: _by_order(v) if isinstance(v, dict) else v for k, v in self.diagnostics.items()
+            }
+        return out
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -95,6 +103,10 @@ class EstimateReport:
                 if d.get("mc_stderr") is None
                 else {int(r): v for r, v in d["mc_stderr"].items()}
             ),
+            diagnostics={
+                k: {int(r): x for r, x in v.items()} if isinstance(v, dict) else v
+                for k, v in d.get("diagnostics", {}).items()
+            },
             wall_time=d.get("wall_time", 0.0),
         )
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bnpsketch import dp, pyp
-from bnpsketch.genmodel import PriorParams, sample_pyp_sequence
+from bnpsketch.genmodel import PriorParams, rng_from, sample_distinct_pairs, sample_pyp_sequence
 from bnpsketch.numkit import (
     DomainError,
     GfcTable,
@@ -120,6 +120,98 @@ def per_bucket_exact(counts, width, alpha, theta):
     )
     distinct = (theta + n) / alpha * profile[0] - theta / alpha
     return np.array(profile), loglik, distinct
+
+
+def _shifted_moments(log_x):
+    shift = float(np.max(log_x))
+    if shift == -np.inf:
+        return 0.0, 0.0
+    return shift, float(np.mean(np.exp(log_x - shift)))
+
+
+def per_order_mc_reference(sketch, params, r, num_samples, seed, debias="tin"):
+    """The single-order Monte Carlo estimator, one chain draw per call.
+
+    Every bucket's chains are drawn under the prior scale theta with
+    ``sample_distinct_pairs`` and kept; each bucket's ratio is Tin-corrected
+    on its own and the corrected ratios are summed with their weights.
+    """
+    values = np.asarray(sketch.counts, dtype=np.int64)
+    c_max = int(values.max(initial=0))
+    n, width = sketch.n, sketch.spec.width
+    theta, alpha = params.theta, params.alpha
+    if r > c_max:
+        return 0.0, 0.0
+    rng = rng_from(seed)
+    log_rf_ratio = log_rising_factorial_prefix(theta / alpha, c_max)
+    log_f_den = log_rising_factorial_prefix(theta / alpha, n)
+    log_f_num = log_rising_factorial_prefix(1.0 + theta / alpha, n)
+    log_theta_rf = log_rising_factorial_prefix(theta, c_max)
+    log_j = math.log(width)
+    t_total = np.zeros(num_samples, dtype=np.int64)
+    s_total = np.zeros(num_samples)
+    stored = []
+    for c in values[values > 0].tolist():
+        k_cr, k_c = sample_distinct_pairs(c, r if c >= r else 0, params, num_samples, rng)
+        t_total += k_c
+        s_total += log_rf_ratio[k_c]
+        if c >= r:
+            stored.append((c, k_cr, k_c))
+    log_zden = log_f_den[t_total] - t_total * log_j - s_total
+    den_shift, den_mean = _shifted_moments(log_zden)
+    zden_sh = np.exp(log_zden - den_shift)
+    var_den = float(np.var(zden_sh, ddof=1))
+    log_prefactor = (
+        math.log(theta / width)
+        + float(log_rising_factorial_prefix(1.0 - alpha, max(r, 1))[r])
+        - math.log(theta + n)
+    )
+
+    def corrected_ratio(log_znum):
+        num_shift, num_mean = _shifted_moments(log_znum)
+        if num_mean == 0.0:
+            return 0.0
+        value = math.exp(num_shift - den_shift) * num_mean / den_mean
+        if debias == "tin":
+            znum_sh = np.exp(log_znum - num_shift)
+            cov = float(np.cov(znum_sh, zden_sh, ddof=1)[0, 1])
+            value *= 1.0 + (
+                cov / (num_samples * num_mean * den_mean)
+                - var_den / (num_samples * den_mean**2)
+            )
+        return value
+
+    total = 0.0
+    log_agg = np.full(num_samples, -np.inf)
+    if r == 0:
+        log_znum = log_f_num[t_total] - t_total * log_j - s_total
+        total = width * corrected_ratio(log_znum)
+        log_agg = math.log(width) + log_znum
+    else:
+        for c, k_cr, k_c in stored:
+            t_j = t_total - k_c + k_cr
+            s_j = s_total - log_rf_ratio[k_c] + log_rf_ratio[k_cr]
+            log_znum = log_f_num[t_j] - t_j * log_j - s_j
+            logw = (
+                math.lgamma(c + 1)
+                - math.lgamma(r + 1)
+                - math.lgamma(c - r + 1)
+                + log_theta_rf[c - r]
+                - log_theta_rf[c]
+            )
+            total += math.exp(logw) * corrected_ratio(log_znum)
+            np.logaddexp(log_agg, logw + log_znum, out=log_agg)
+    agg_shift, agg_mean = _shifted_moments(log_agg)
+    stderr = 0.0
+    if agg_mean > 0.0:
+        agg_sh = np.exp(log_agg - agg_shift)
+        residuals = agg_sh - agg_mean / den_mean * zden_sh
+        stderr = (
+            math.exp(log_prefactor + agg_shift - den_shift)
+            * math.sqrt(float(np.var(residuals, ddof=1)) / num_samples)
+            / den_mean
+        )
+    return math.exp(log_prefactor) * total, stderr
 
 
 def assert_rel_close(got, want, rel, floor=0.0):
@@ -345,6 +437,110 @@ class TestMonteCarlo:
             if abs(tin - exact) <= abs(plain - exact):
                 wins += 1
         assert wins >= 0.6 * trials, wins
+
+
+    @pytest.mark.parametrize("alpha,theta", PARAM_GRID + [(0.5, 10.0)])
+    @pytest.mark.parametrize("debias", ["tin", "none"])
+    def test_matches_per_order_reference(self, rng, alpha, theta, debias):
+        # one chain draw for all orders: bit for bit at r = 0, where nothing
+        # is summed over buckets, and to roundoff at r >= 1, where the Tin
+        # correction is applied to the weighted sum instead of to each term
+        params = PriorParams(alpha, theta)
+        for trial in range(3):
+            width = int(rng.integers(2, 40))
+            counts = np.bincount(rng.integers(0, width, int(rng.integers(1, 60))), minlength=width)
+            s = make_sketch(counts, width=width)
+            for r in range(int(counts.max()) + 2):
+                seed = 100 * trial + r
+                want = per_order_mc_reference(s, params, r, 400, seed, debias)
+                got = pyp.pyp_coverage_mc(s, params, r, 400, seed, debias=debias)
+                if r == 0:
+                    assert got == want
+                else:
+                    for g, w in zip(got, want):
+                        assert_rel_close(g, w, 1e-12)
+                # a generator is left where the draws end, as one pass leaves it
+                gen_ref, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                per_order_mc_reference(s, params, r, 400, gen_ref, debias)
+                pyp.pyp_coverage_mc(s, params, r, 400, gen, debias=debias)
+                assert gen.bit_generator.state == gen_ref.bit_generator.state
+
+    def test_count_past_signed_range_is_domain_error(self):
+        s = Sketch(HashSpec(a=1, b=0, width=3, symbol_seed=0),
+                   counts=np.array([2**63, 5, 0], dtype=np.uint64), n=2**63 + 5)
+        params = PriorParams(0.5, 1.0)
+        with pytest.raises(DomainError, match="2\\^63"):
+            pyp.pyp_coverage_mc(s, params, 0, 1000, seed=0)
+        with pytest.raises(DomainError, match="2\\^63"):
+            pyp.pyp_report(s, params=params, method="mc", r_max=0, mc_samples=1000)
+
+
+class TestMonteCarloProfile:
+    """``pyp_report(method="mc")``: one draw of the chains under theta/J for every order."""
+
+    @pytest.mark.parametrize("theta", [1.0, 10.0, 100.0])
+    def test_every_order_within_three_stderr_of_exact(self, theta):
+        # at J = 128 the prior-scale proposal misses the weight at r >= 1
+        # (coverages several times the exact value, with small SEs); the
+        # per-bucket scale must agree at every order of every sketch
+        params = PriorParams(0.5, theta)
+        misses = []
+        for ss in np.random.SeedSequence(31).spawn(4):
+            s_data, s_hash, s_mc = ss.spawn(3)
+            sk = Sketch(HashSpec.random(128, s_hash))
+            sk.insert_ids(sample_pyp_sequence(params, 30, s_data).symbols)
+            exact = pyp.pyp_report(sk, params=params)
+            mc = pyp.pyp_report(sk, params=params, method="mc", mc_samples=50_000, seed=s_mc)
+            assert sorted(mc.coverage) == list(range(int(sk.counts.max()) + 1))
+            for r, want in exact.coverage.items():
+                got, se = mc.coverage[r], mc.mc_stderr[r]
+                if abs(got - want) > 3 * se + 1e-12 * max(1.0, want):
+                    misses.append((r, got, want, se))
+        assert not misses, misses
+
+    def test_orders_past_the_float_range_of_the_prefactor(self):
+        # (1 - alpha)_(r) exceeds 1e308 from r = 171 at alpha = 0.5; the
+        # prefactor is folded into the log-space sum, so high orders stay finite
+        s = make_sketch([400, 3, 1], width=4)
+        params = PriorParams(0.5, 1.0)
+        exact = pyp.pyp_report(s, params=params)
+        mc = pyp.pyp_report(s, params=params, method="mc", mc_samples=2000, seed=1)
+        for r, want in exact.coverage.items():
+            assert abs(mc.coverage[r] - want) <= 3 * mc.mc_stderr[r] + 1e-12, r
+        est, se = pyp.pyp_coverage_mc(s, params, 300, 1000, seed=2)
+        assert 0.0 < est < 1.0 and 0.0 < se < 1.0
+
+    @pytest.mark.parametrize("cells", [1, 2 * 1000])
+    def test_blocks_of_orders_do_not_change_the_profile(self, cells, monkeypatch):
+        # cells = 1 gives one order per block, 2000 two orders per block
+        s = make_sketch([7, 1, 0, 3, 5, 2, 1, 4], width=16)
+        kw = dict(params=PriorParams(0.5, 3.0), method="mc", mc_samples=1000, seed=5)
+        want = pyp.pyp_report(s, **kw).to_dict()
+        monkeypatch.setattr(pyp, "_MC_CELLS", cells)
+        got = pyp.pyp_report(s, **kw).to_dict()
+        del want["wall_time"], got["wall_time"]
+        assert got == want
+
+    def test_trust_measures(self):
+        s = make_sketch([4, 1, 0, 2, 1], width=8)
+        rep = pyp.pyp_report(s, params=PriorParams(0.5, 2.0), method="mc", mc_samples=2000,
+                             r_max=6, seed=3)
+        d = rep.diagnostics
+        assert set(d["ess"]) == set(d["max_weight_share"]) == set(range(5))
+        for r in range(5):
+            assert 1.0 <= d["ess"][r] <= 2000.0
+            assert 1.0 / 2000 <= d["max_weight_share"][r] <= 1.0
+        assert 1.0 <= d["den_ess"] <= 2000.0
+        assert rep.coverage[5] == rep.coverage[6] == 0.0
+        back = type(rep).from_json(rep.to_json())
+        assert back.diagnostics == d
+
+    def test_deterministic_reports_carry_no_diagnostics(self):
+        s = make_sketch([4, 1, 0, 2, 1], width=8)
+        rep = pyp.pyp_report(s, params=PriorParams(0.5, 2.0))
+        assert rep.diagnostics == {} and "diagnostics" not in rep.to_dict()
+        d = rep.to_dict()
+        assert type(rep).from_dict(d).to_dict() == d
 
 
 class TestAsymptotic:
