@@ -297,7 +297,8 @@ def sample_distinct_prefix(c: int, params: PriorParams, seed) -> np.ndarray:
     c = int(c)
     if c < 0:
         raise DomainError(f"c must be >= 0, got {c}")
-    return np.array([int(k[0]) for _, k in distinct_chain(c, params, 1, rng_from(seed))][::-1])
+    ks = [int(k[0]) for _, k in distinct_chain(c, params, 1, rng_from(seed))]
+    return np.array(ks[::-1], dtype=np.int64)
 
 
 def distinct_chain(c: int, params: PriorParams, size: int, rng: np.random.Generator):
