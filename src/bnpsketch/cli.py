@@ -14,9 +14,7 @@ import sys
 
 import numpy as np
 
-from . import dp, oracle, pyp
-from .experiment import ExperimentConfig, run_experiment, write_csv
-from .genmodel import PriorParams, sample_pyp_sequence, sample_zipf_sequence
+from . import dp
 from .numkit import DomainError
 from .report import EstimateReport
 from .sketch import (
@@ -181,6 +179,9 @@ def _cmd_estimate(args) -> int:
             theta_bounds=tuple(args.theta_bounds),
         )
     else:
+        from . import pyp
+        from .genmodel import PriorParams
+
         if args.fit == "eb-mle":
             raise UsageError("eb-mle fits the dp prior; use eb-wasserstein for pyp")
         params = None
@@ -214,6 +215,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import oracle
+    from .genmodel import PriorParams, sample_pyp_sequence, sample_zipf_sequence
+
     emit = {part.strip() for part in args.emit.split(",") if part.strip()}
     unknown = emit - {"tokens", "sketch", "truth"}
     if unknown:
@@ -270,6 +274,8 @@ def _cmd_fit(args) -> int:
         theta, boundary = dp.dp_fit_theta(sk, bounds=tuple(args.theta_bounds))
         print(json.dumps({"fit": "eb-mle", "theta": theta, "boundary_hit": boundary}))
         return EXIT_OK
+    from . import pyp
+
     result = pyp.wasserstein_fit(sk, num_reps=args.num_reps, n_sim=args.n_sim, seed=args.seed)
     print(
         json.dumps(
@@ -305,6 +311,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiment import ExperimentConfig, run_experiment, write_csv
+
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .numkit import DomainError, digamma
+from .numkit import DomainError, digamma, log_gamma
 from .report import EstimateReport, FittedPrior
 from .sketch import Sketch, count_multiset
 
@@ -50,33 +50,51 @@ def _check_theta(theta) -> float:
 # ``count_multiset``, so a caller that needs several quantities groups once.
 
 
-def _loglik(vals, mult, n, width, theta) -> float:
-    from scipy.special import gammaln
+def _loglik_fn(vals, mult, n, width):
+    """theta -> log marginal likelihood; log n! - sum m log c! is computed once."""
+    log_multinom = log_gamma(n + 1.0) - float(np.dot(mult, log_gamma(vals + 1.0)))
+    buckets = float(mult.sum())
 
+    def loglik(theta) -> float:
+        z = theta / width
+        log_rf_buckets = float(np.dot(mult, log_gamma(z + vals))) - buckets * log_gamma(z)
+        log_rf_total = log_gamma(theta + n) - log_gamma(theta)
+        return log_multinom + log_rf_buckets - log_rf_total
+
+    return loglik
+
+
+def _coverage(vals, mult, n, width, theta, r_max, r_min=0) -> np.ndarray:
+    """Coverage of orders r_min..r_max, as an array.
+
+    Order r sums C(c, r) * r! * (theta/J)_(c-r) / (theta/J)_(c) over counts
+    c >= r.  log c! and log Gamma(z + c) come from tables over 0..c_max when
+    those are no longer than the per-order evaluations they replace,
+    orders * U; otherwise (counts near 2^63) each order evaluates them on the
+    multiset.  The arguments are formed alike on both paths, so both give
+    the same floats.
+    """
+    if r_max < 0:
+        raise DomainError(f"coverage order must be >= 0, got {r_max}")
     z = theta / width
-    log_multinom = gammaln(n + 1) - float(np.dot(mult, gammaln(vals + 1.0)))
-    log_rf_buckets = float(np.dot(mult, gammaln(z + vals))) - mult.sum() * gammaln(z)
-    log_rf_total = gammaln(theta + n) - gammaln(theta)
-    return log_multinom + log_rf_buckets - log_rf_total
-
-
-def _coverage(vals, mult, n, width, theta, r) -> float:
-    """Sum over counts c >= r of C(c, r) * r! * (theta/J)_(c-r) / (theta/J)_(c), scaled."""
-    from scipy.special import gammaln
-
-    if r == 0:
-        return theta / (theta + n)
-    keep = vals >= r
-    if not keep.any():
-        return 0.0
-    vals, mult = vals[keep], mult[keep]
-    z = theta / width
-    log_fall = gammaln(vals + 1.0) - gammaln(vals - r + 1.0)  # c!/(c-r)! = C(c,r)*r!
-    log_rf_ratio = gammaln(z + vals - r) - gammaln(z + vals)
-    logs = log_fall + log_rf_ratio + np.log(mult)
-    m = logs.max()
-    total = math.exp(m) * float(np.sum(np.exp(logs - m)))
-    return z * total / (theta + n)
+    c_max = int(vals[-1]) if vals.size else 0
+    out = np.zeros(r_max + 1 - r_min)
+    if c_max + 1 <= out.size * vals.size:
+        k = np.arange(c_max + 1, dtype=float)
+        log_fact, log_gamma_z = log_gamma(k + 1.0).__getitem__, log_gamma(z + k).__getitem__
+    else:
+        log_fact, log_gamma_z = (lambda c: log_gamma(c + 1.0)), (lambda c: log_gamma(z + c))
+    log_mult = np.log(mult)
+    for r in range(r_min, min(r_max, c_max) + 1):
+        if r == 0:
+            out[0] = theta / (theta + n)
+            continue
+        lo = int(np.searchsorted(vals, r))
+        c, d = vals[lo:], vals[lo:] - r
+        logs = (log_fact(c) - log_fact(d)) + (log_gamma_z(d) - log_gamma_z(c)) + log_mult[lo:]
+        top = logs.max()
+        out[r - r_min] = z * (math.exp(top) * float(np.sum(np.exp(logs - top)))) / (theta + n)
+    return out
 
 
 def _distinct(vals, mult, width, theta) -> float:
@@ -100,7 +118,7 @@ def dp_loglik(sketch: Sketch, theta) -> float:
     """
     theta = _check_theta(theta)
     vals, mult = count_multiset(sketch.counts)
-    return _loglik(vals, mult, sketch.n, sketch.spec.width, theta)
+    return _loglik_fn(vals, mult, sketch.n, sketch.spec.width)(theta)
 
 
 def dp_fit_theta(sketch: Sketch, bounds=DEFAULT_THETA_BOUNDS):
@@ -117,10 +135,10 @@ def dp_fit_theta(sketch: Sketch, bounds=DEFAULT_THETA_BOUNDS):
         raise DomainError(f"need 0 < lo < hi, got {bounds}")
     if sketch.n == 0:
         raise DomainError("cannot fit theta on an empty sketch (flat likelihood)")
-    vals, mult = count_multiset(sketch.counts)
+    loglik = _loglik_fn(*count_multiset(sketch.counts), sketch.n, sketch.spec.width)
 
     def f(log_t):
-        return _loglik(vals, mult, sketch.n, sketch.spec.width, math.exp(log_t))
+        return loglik(math.exp(log_t))
 
     a, b = math.log(lo), math.log(hi)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -158,18 +176,15 @@ def dp_coverage(sketch: Sketch, theta, r: int) -> float:
     """
     theta = _check_theta(theta)
     r = int(r)
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
     vals, mult = count_multiset(sketch.counts)
-    return _coverage(vals, mult, sketch.n, sketch.spec.width, theta, r)
+    return float(_coverage(vals, mult, sketch.n, sketch.spec.width, theta, r, r)[0])
 
 
 def dp_coverage_profile(sketch: Sketch, theta, r_max: int) -> np.ndarray:
     """Coverage estimates for every order r = 0..r_max."""
     theta = _check_theta(theta)
     vals, mult = count_multiset(sketch.counts)
-    n, width = sketch.n, sketch.spec.width
-    return np.array([_coverage(vals, mult, n, width, theta, r) for r in range(int(r_max) + 1)])
+    return _coverage(vals, mult, sketch.n, sketch.spec.width, theta, int(r_max))
 
 
 def dp_freq_counts(sketch: Sketch, theta, r: int) -> float:
@@ -177,9 +192,7 @@ def dp_freq_counts(sketch: Sketch, theta, r: int) -> float:
     r = int(r)
     if r < 1:
         raise DomainError(f"frequency order must be >= 1, got {r}")
-    theta = _check_theta(theta)
-    vals, mult = count_multiset(sketch.counts)
-    return (theta + sketch.n) / r * _coverage(vals, mult, sketch.n, sketch.spec.width, theta, r)
+    return (_check_theta(theta) + sketch.n) / r * dp_coverage(sketch, theta, r)
 
 
 def dp_distinct(sketch: Sketch, theta) -> float:
@@ -240,7 +253,7 @@ def dp_report(
     vals, mult = count_multiset(sketch.counts)
     n, width = sketch.n, sketch.spec.width
     r_max = int(vals[-1]) if r_max is None else int(r_max)
-    coverage = {r: float(_coverage(vals, mult, n, width, theta_hat, r)) for r in range(r_max + 1)}
+    coverage = dict(enumerate(_coverage(vals, mult, n, width, theta_hat, r_max).tolist()))
     freq = {r: float((theta_hat + n) / r * coverage[r]) for r in range(1, r_max + 1)}
     report = EstimateReport(
         n=n,

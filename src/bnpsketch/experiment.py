@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,6 +335,8 @@ def run_experiment(cfg: ExperimentConfig):
         for rep in range(cfg.repetitions)
     ]
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_cell, jobs))
     else:

@@ -473,3 +473,52 @@ class TestEntryPoint:
         code = "import sys, bnpsketch.cli; sys.exit('scipy' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_dp_commands_load_only_their_modules(self, tmp_path):
+        (tmp_path / "t.txt").write_text("a b a c a b d\n")
+        code = f"""
+import os, sys
+from bnpsketch import cli
+os.chdir({str(tmp_path)!r})
+for argv in (
+    ["sketch", "--input", "t.txt", "--tokenizer", "words", "--width", "8", "--output", "a.sk"],
+    ["merge", "a.sk", "a.sk", "--output", "m.sk"],
+    ["estimate", "--sketch", "m.sk", "--prior", "dp", "--fit", "eb-mle", "--output", "r.json"],
+):
+    assert cli.main(argv) == 0, argv
+unwanted = ("scipy", "concurrent.futures", "bnpsketch.pyp", "bnpsketch.genmodel",
+            "bnpsketch.oracle", "bnpsketch.experiment")
+print(",".join(m for m in unwanted if m in sys.modules))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+        assert json.loads((tmp_path / "r.json").read_text())["prior"]["provenance"] == "eb-mle"
+
+    def test_dp_report_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, numpy as np, bnpsketch\n"
+            "spec = bnpsketch.HashSpec(a=1, b=0, width=4, symbol_seed=0)\n"
+            "sk = bnpsketch.Sketch(spec, counts=np.array([5, 3, 0, 1], dtype=np.uint64), n=9)\n"
+            "bnpsketch.dp_report(sk, fit='eb-mle')\n"
+            "sys.exit('scipy' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestPackageSurface:
+    def test_star_import_binds_all(self):
+        import bnpsketch
+
+        namespace = {}
+        exec("from bnpsketch import *", namespace)
+        assert set(bnpsketch.__all__) <= set(namespace)
+        assert set(bnpsketch.__all__) <= set(dir(bnpsketch))
+        assert all(namespace[name] is getattr(bnpsketch, name) for name in bnpsketch.__all__)
+
+    def test_unknown_attribute(self):
+        import bnpsketch
+
+        with pytest.raises(AttributeError):
+            bnpsketch.no_such_estimator

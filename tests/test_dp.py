@@ -195,3 +195,54 @@ class TestReport:
     def test_requires_theta_without_fit(self):
         with pytest.raises(DomainError):
             dp.dp_report(make_sketch([1, 0]))
+
+    def test_profile_rejects_negative_r_max(self):
+        with pytest.raises(DomainError):
+            dp.dp_coverage_profile(make_sketch([3, 1]), 1.0, -1)
+
+
+def _mp_profile(vals, mult, n, width, theta, r_max):
+    """Coverage of orders 0..r_max in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        theta = mpmath.mpf(theta)
+        z = theta / width
+        out = [theta / (theta + n)]
+        for r in range(1, r_max + 1):
+            total = mpmath.fsum(
+                m * mpmath.exp(
+                    mpmath.loggamma(c + 1) - mpmath.loggamma(c - r + 1)
+                    + mpmath.loggamma(z + c - r) - mpmath.loggamma(z + c)
+                )
+                for c, m in zip(vals, mult)
+                if c >= r
+            )
+            out.append(z * total / (theta + n))
+        return np.array([float(x) for x in out])
+
+
+class TestProfileAccuracy:
+    def test_every_order_against_mpmath(self):
+        # a Zipf stream whose largest bucket count is about 3000, so the
+        # profile reads its log-gamma tables
+        ids = np.random.default_rng(11).zipf(1.1, 30_000)
+        s = Sketch(HashSpec.random(4096, seed=7))
+        s.insert_ids(ids)
+        vals, mult = np.unique(s.counts.astype(np.int64), return_counts=True)
+        r_max = int(vals[-1])
+        assert r_max > 2500
+        for theta in (3.7, 1500.0):
+            want = _mp_profile(vals.tolist(), mult.tolist(), s.n, s.spec.width, theta, r_max)
+            got = dp.dp_coverage_profile(s, theta, r_max)
+            assert np.max(np.abs(got - want) / want) < 1e-11, theta
+
+    def test_counts_near_2_63_per_order(self):
+        # tables over 0..2^62 cannot be built: this profile evaluates each
+        # order on the two distinct counts
+        big = 1 << 62
+        s = make_sketch([big, 5])
+        want = _mp_profile([5, big], [1, 1], s.n, 2, 2.5, 3)
+        got = dp.dp_coverage_profile(s, 2.5, 3)
+        assert np.max(np.abs(got - want) / want) < 1e-11
+        rep = dp.dp_report(s, theta=2.5, r_max=3)
+        assert np.array_equal([rep.coverage[r] for r in range(4)], got)

@@ -65,6 +65,48 @@ class TestDigamma:
             assert abs(nk.digamma(x + 1) - nk.digamma(x) - 1.0 / x) < 1e-10
 
 
+class TestLogGamma:
+    XS = np.concatenate(
+        [
+            np.geomspace(1e-3, 2.0**63, 2000),
+            np.linspace(1e-3, 12.0, 1201),
+            np.arange(1.0, 5001.0),
+            0.5 + np.arange(3000.0),
+            [2.0**62, 2.0**63],
+        ]
+    )
+
+    @pytest.mark.parametrize(
+        "reference", [sp.gammaln, np.vectorize(math.lgamma)], ids=["scipy", "math"]
+    )
+    def test_against_references(self, reference):
+        got, want = nk.log_gamma(self.XS), reference(self.XS)
+        # from x = 7 the Stirling series applies directly; below it the
+        # upward recurrence subtracts log x(x+1)..., an absolute error, which
+        # is also the only meaningful measure at the roots x = 1 and x = 2
+        stirling = self.XS >= 7.0
+        np.testing.assert_allclose(got[stirling], want[stirling], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got[~stirling], want[~stirling], rtol=0.0, atol=8e-15)
+
+    def test_scalars(self):
+        for x in (1e-3, 0.5, 1.0, 2.0, 7.0, 123.25, 2.0**63):
+            got = nk.log_gamma(x)
+            assert isinstance(got, float)
+            assert math.isclose(got, math.lgamma(x), rel_tol=1e-15, abs_tol=8e-15), x
+
+    def test_value_independent_of_neighbours(self):
+        # tables built by log_gamma are read in place of direct evaluations
+        perm = np.random.default_rng(3).permutation(self.XS.size)
+        table = nk.log_gamma(self.XS)
+        assert np.array_equal(nk.log_gamma(self.XS[perm]), table[perm])
+        assert all(nk.log_gamma(x) == t for x, t in zip(self.XS[::97], table[::97]))
+
+    def test_rejects_nonpositive(self):
+        for bad in (0.0, -1.5, [1.0, 0.0]):
+            with pytest.raises(nk.DomainError):
+                nk.log_gamma(bad)
+
+
 class TestGfc:
     def test_direct_known_values(self):
         assert math.isclose(nk.gfc_direct(2, 2, 0.5), 0.25, rel_tol=1e-12)
