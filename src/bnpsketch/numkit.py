@@ -146,12 +146,12 @@ def log_gamma(x):
     function equals the value computed on its own.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
+    if not (x > 0.0).all():
         raise DomainError("log_gamma needs x > 0")
     shift = np.ceil(np.maximum(_LGAMMA_SWITCH - x, 0.0))
     prod = np.ones_like(x)
     for i in range(int(shift.max(initial=0.0))):
-        prod *= np.where(shift > i, x + i, 1.0)
+        np.multiply(prod, x + i, out=prod, where=shift > i)
     y = x + shift
     inv, inv2 = 1.0 / y, 1.0 / (y * y)
     series = _LGAMMA_ASYMP[-1]
