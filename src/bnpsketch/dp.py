@@ -66,36 +66,39 @@ def _loglik_fn(vals, mult, n, width):
     return loglik
 
 
-def _coverage(vals, mult, n, width, theta, r_max, r_min=0) -> np.ndarray:
-    """Coverage of orders r_min..r_max, as an array.
+def _coverage(vals, mult, n, width, theta, r_max) -> np.ndarray:
+    """Coverage of orders 0..r_max, as an array.
 
-    Order r sums C(c, r) * r! * (theta/J)_(c-r) / (theta/J)_(c) over counts
-    c >= r.  log c! and log Gamma(z + c) come from tables over 0..c_max when
-    those are no longer than the per-order evaluations they replace,
-    orders * U; otherwise (counts near 2^63) each order evaluates them on the
-    multiset.  The arguments are formed alike on both paths, so both give
-    the same floats.
+    Order r >= 1 sums m * C(c, r) * r! * (z)_(c-r) / (z)_(c), z = theta/J,
+    over the counts c >= r of multiplicity m.  The ratio is the product of
+    j / (z + j - 1) over j = c - r + 1..c, so a count's log-terms for orders
+    1..min(c, r_max) are a cumulative sum of log1p((z - 1)/j) from j = c
+    down; no term is a difference of log-gamma values near c log c.  The
+    counts are added into one log-space profile in ascending order, in
+    sum min(c, r_max) <= n elements: a single order r costs sum min(c, r)
+    and equals that order of any longer profile bit for bit.
     """
     if r_max < 0:
         raise DomainError(f"coverage order must be >= 0, got {r_max}")
+    if r_max >= np.iinfo(np.intp).max // 8:
+        raise DomainError(
+            f"r_max = {r_max} asks for more coverage orders than one array can hold; "
+            "pass a smaller r_max (CLI: --r-max)"
+        )
+    out = np.zeros(r_max + 1)
+    out[0] = theta / (theta + n)
     z = theta / width
-    c_max = int(vals[-1]) if vals.size else 0
-    out = np.zeros(r_max + 1 - r_min)
-    if c_max + 1 <= out.size * vals.size:
-        k = np.arange(c_max + 1, dtype=float)
-        log_fact, log_gamma_z = log_gamma(k + 1.0).__getitem__, log_gamma(z + k).__getitem__
-    else:
-        log_fact, log_gamma_z = (lambda c: log_gamma(c + 1.0)), (lambda c: log_gamma(z + c))
-    log_mult = np.log(mult)
-    for r in range(r_min, min(r_max, c_max) + 1):
-        if r == 0:
-            out[0] = theta / (theta + n)
+    top = min(r_max, int(vals[-1]) if vals.size else 0)
+    log_profile = np.full(top, -np.inf)
+    for c, m in zip(vals.tolist(), mult.tolist()):
+        k = min(c, top)
+        if k == 0:
             continue
-        lo = int(np.searchsorted(vals, r))
-        c, d = vals[lo:], vals[lo:] - r
-        logs = (log_fact(c) - log_fact(d)) + (log_gamma_z(d) - log_gamma_z(c)) + log_mult[lo:]
-        top = logs.max()
-        out[r - r_min] = z * (math.exp(top) * float(np.sum(np.exp(logs - top)))) / (theta + n)
+        steps = np.log1p((z - 1.0) / np.arange(c, c - k, -1))
+        if k == c:
+            steps[-1] = math.log(z)  # j = 1: log1p(z - 1) loses the digits of a small z
+        log_profile[:k] = np.logaddexp(log_profile[:k], math.log(m) - np.cumsum(steps))
+    out[1 : top + 1] = z * np.exp(log_profile) / (theta + n)
     return out
 
 
@@ -174,12 +177,16 @@ def dp_coverage(sketch: Sketch, theta, r: int) -> float:
 
     r = 0 collapses to theta/(theta+n): under the zero-discount prior the
     missing-mass answer depends on the data only through n.  Orders above the
-    largest bucket count are exactly zero.
+    largest bucket count are exactly zero.  The value is order r of the
+    profile 0..r, so it costs sum over counts of min(c, r), not O(U), and
+    equals ``dp_report``'s order r bit for bit.
     """
     theta = _check_theta(theta)
     r = int(r)
     vals, mult = count_multiset(sketch.counts)
-    return float(_coverage(vals, mult, sketch.n, sketch.spec.width, theta, r, r)[0])
+    # the profile stops at the largest count: a larger r reads zero
+    profile = _coverage(vals, mult, sketch.n, sketch.spec.width, theta, min(r, int(vals[-1])))
+    return float(profile[r]) if r < profile.size else 0.0
 
 
 def dp_coverage_profile(sketch: Sketch, theta, r_max: int) -> np.ndarray:

@@ -243,7 +243,6 @@ def _run_cell(args):
             symbols=np.asarray(idx, dtype=np.int64),
             atom_ids=np.arange(len(tokens), dtype=np.int64),
             atom_weights=weights,
-            model="file",
         )
         sketch = _file_sketch(spec, tokens, idx)
         stats = oracle.partition_stats(sample)

@@ -8,7 +8,7 @@ spawned child of one root ``SeedSequence``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class RawSample:
     symbols: np.ndarray
     atom_ids: np.ndarray | None = None
     atom_weights: np.ndarray | None = None
-    model: str = ""
-    params: dict = field(default_factory=dict)
-    seed_info: str = ""
 
     @property
     def n(self) -> int:
@@ -124,10 +121,13 @@ def sample_pyp_sequence(params: PriorParams, n: int, seed, with_weights: bool = 
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     rng = rng_from(seed)
-    meta = dict(alpha=params.alpha, theta=params.theta, n=n)
     if not with_weights:
-        symbols = _sample_crp_ids(params, n, rng)
-        return RawSample(symbols=symbols, model="pyp-crp", params=meta)
+        symbols = np.empty(n, dtype=np.int64)
+        if n:
+            u = rng.random(n)
+            pick = rng.random(n)
+            _crp_fill(symbols, u, pick, float(params.alpha), float(params.theta))
+        return RawSample(symbols=symbols)
 
     u = rng.random(n)
     atoms_w: list[np.ndarray] = []
@@ -162,17 +162,19 @@ def sample_pyp_sequence(params: PriorParams, n: int, seed, with_weights: bool = 
         symbols=symbols,
         atom_ids=np.arange(weights.size, dtype=np.int64),
         atom_weights=weights,
-        model="pyp-sticks",
-        params=meta,
     )
 
 
 def _crp_fill(symbols, u, pick, alpha, theta):
-    """Single-stream loop of the sequential predictive sampler.
+    """Single-stream loop of the sequential predictive sampler, O(n).
 
-    Block k is the block first seen as symbol k, so a uniform block pick is
-    ``int(pick[i] * n_blocks)`` itself.  ``crp_bucket_counts`` repeats these
-    float operations in the same order, row by row.
+    Picking an existing block with weight (count - alpha) is decomposed into
+    two positive pieces: a uniform pick among non-initial observations
+    (total weight i-1-k) and a uniform pick among existing blocks (total
+    weight k*(1-alpha)).  Block k is the block first seen as symbol k, so a
+    uniform block pick is ``int(pick[i] * n_blocks)`` itself.
+    ``crp_bucket_counts`` repeats these float operations in the same order,
+    row by row.
     """
     n = symbols.shape[0]
     repeats = np.empty(n, dtype=np.int64)
@@ -245,23 +247,6 @@ def crp_bucket_counts(alpha, theta, stream, u, pick, bucket_of_id, width: int) -
     return counts
 
 
-def _sample_crp_ids(params: PriorParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sequential predictive sampling of the id sequence, O(n) amortized.
-
-    Picking an existing block with weight (count - alpha) is decomposed into
-    two positive pieces: a uniform pick among non-initial observations
-    (total weight i-1-k) and a uniform pick among existing blocks (total
-    weight k*(1-alpha)).
-    """
-    symbols = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return symbols
-    u = rng.random(n)
-    pick = rng.random(n)
-    _crp_fill(symbols, u, pick, float(params.alpha), float(params.theta))
-    return symbols
-
-
 def sample_zipf_sequence(exponent: float, vocab: int, n: int, seed) -> RawSample:
     """IID draws from p_k proportional to k^-exponent over ids 1..vocab."""
     exponent = float(exponent)
@@ -287,8 +272,6 @@ def sample_zipf_sequence(exponent: float, vocab: int, n: int, seed) -> RawSample
         symbols=symbols,
         atom_ids=np.arange(1, vocab + 1, dtype=np.int64),
         atom_weights=weights,
-        model="zipf",
-        params=dict(exponent=exponent, vocab=vocab, n=n),
     )
 
 

@@ -462,7 +462,6 @@ class WassersteinFit:
 
 def wasserstein_fit(
     sketch: Sketch,
-    hash_spec=None,
     alpha_grid=DEFAULT_ALPHA_GRID,
     theta_grid=DEFAULT_THETA_GRID,
     num_reps: int = 5,
@@ -502,9 +501,7 @@ def wasserstein_fit(
     """
     if sketch.n == 0:
         raise DomainError("cannot fit parameters on an empty sketch")
-    spec = hash_spec if hash_spec is not None else sketch.spec
-    if spec != sketch.spec:
-        raise DomainError("fit must sketch simulations with the input sketch's own hash spec")
+    spec = sketch.spec
     alpha_grid = sorted(float(a) for a in alpha_grid)
     theta_grid = sorted(float(t) for t in theta_grid)
     if not alpha_grid or not theta_grid:

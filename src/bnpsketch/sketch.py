@@ -203,10 +203,7 @@ def prehash_bytes(token: bytes, symbol_seed: int) -> int:
     finalizer so the downstream linear hash sees well-mixed keys even on
     highly structured inputs.
     """
-    h = (_FNV_OFFSET ^ (symbol_seed & _MASK64)) & _MASK64
-    for b in token:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return _fmix64(h)
+    return _fmix64(_fnv1a((_FNV_OFFSET ^ (symbol_seed & _MASK64)) & _MASK64, token))
 
 
 def prehash_tokens(tokens, symbol_seed: int) -> np.ndarray:

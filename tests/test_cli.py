@@ -178,6 +178,17 @@ class TestEstimateCommand:
         assert "r_max must be >= 0" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_default_r_max_past_array_limit_exits_numeric(self, tmp_path, capsys):
+        spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        path = tmp_path / "big.sketch"
+        sketch_save(Sketch(spec, counts=np.array([2**62, 5], dtype=np.uint64), n=2**62 + 5), path)
+        argv = ["estimate", "--sketch", str(path), "--prior", "dp", "--theta", "2.5",
+                "--output", str(tmp_path / "rep.json")]
+        assert run_cli(*argv) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "--r-max" in err and "Traceback" not in err
+        assert run_cli(*argv, "--r-max", "3") == cli.EXIT_OK
+
     def test_mc_count_past_signed_range_exits_numeric(self, tmp_path, capsys):
         spec = HashSpec(a=1, b=0, width=3, symbol_seed=0)
         path = tmp_path / "huge.sketch"

@@ -200,6 +200,15 @@ class TestReport:
         with pytest.raises(DomainError):
             dp.dp_coverage_profile(make_sketch([3, 1]), 1.0, -1)
 
+    def test_orders_past_array_limit_name_r_max(self):
+        # the default r_max is the largest count: 2^62 + 1 float64 orders
+        # cannot be one array, so the report refuses before allocating
+        s = make_sketch([1 << 62, 5])
+        with pytest.raises(DomainError, match="r_max"):
+            dp.dp_report(s, theta=2.5)
+        with pytest.raises(DomainError, match="r_max"):
+            dp.dp_coverage_profile(s, 2.5, 1 << 62)
+
 
 def _mp_profile(vals, mult, n, width, theta, r_max):
     """Coverage of orders 0..r_max in 40-digit arithmetic."""
@@ -224,7 +233,7 @@ def _mp_profile(vals, mult, n, width, theta, r_max):
 class TestProfileAccuracy:
     def test_every_order_against_mpmath(self):
         # a Zipf stream whose largest bucket count is about 3000, so the
-        # profile reads its log-gamma tables
+        # log1p sums run over thousands of orders
         ids = np.random.default_rng(11).zipf(1.1, 30_000)
         s = Sketch(HashSpec.random(4096, seed=7))
         s.insert_ids(ids)
@@ -237,8 +246,7 @@ class TestProfileAccuracy:
             assert np.max(np.abs(got - want) / want) < 1e-11, theta
 
     def test_counts_near_2_63_per_order(self):
-        # tables over 0..2^62 cannot be built: this profile evaluates each
-        # order on the two distinct counts
+        # the log1p sums start at j = 2^62 and stop after three orders
         big = 1 << 62
         s = make_sketch([big, 5])
         want = _mp_profile([5, big], [1, 1], s.n, 2, 2.5, 3)
@@ -246,3 +254,29 @@ class TestProfileAccuracy:
         assert np.max(np.abs(got - want) / want) < 1e-11
         rep = dp.dp_report(s, theta=2.5, r_max=3)
         assert np.array_equal([rep.coverage[r] for r in range(4)], got)
+
+    @pytest.mark.parametrize("c", [10**6, 10**8, 10**12])
+    def test_large_counts(self, c):
+        # the terms are not differences of log-gamma values near c log c
+        s = make_sketch([c, 5])
+        want = _mp_profile([5, c], [1, 1], s.n, 2, 2.5, 6)
+        got = dp.dp_coverage_profile(s, 2.5, 6)
+        assert np.max(np.abs(got - want) / want) < 1e-14
+
+    @pytest.mark.parametrize(
+        "width,theta",
+        # theta/J = 1.5e-8 needs log(z) for the j = 1 term; log1p(z - 1) loses its digits
+        [(1 << 16, 1e-3), (1 << 16, 1e9), (2, 1e9)],
+    )
+    def test_zipf_head_every_order(self, width, theta):
+        ids = np.random.default_rng(11).zipf(1.1, 30_000)[:3000]
+        s = Sketch(HashSpec.random(width, seed=7))
+        s.insert_ids(ids)
+        vals, mult = np.unique(s.counts.astype(np.int64), return_counts=True)
+        r_max = int(vals[-1])
+        want = _mp_profile(vals.tolist(), mult.tolist(), s.n, width, theta, r_max)
+        got = dp.dp_coverage_profile(s, theta, r_max)
+        # at theta = 1e9 the top orders underflow: compare the normal floats
+        normal = want > np.finfo(float).tiny
+        assert np.max(np.abs(got - want)[normal] / want[normal]) < 2e-12
+        assert np.all(got[~normal] < np.finfo(float).tiny)
