@@ -37,6 +37,7 @@ __all__ = [
 _HARMONIC_CUTOFF = 1_000_000
 
 DEFAULT_THETA_BOUNDS = (1e-3, 1e9)
+_MAX_ORDERS = 1 << 24  # coverage orders of one profile, at most: 128 MB of float64
 
 
 def _check_theta(theta) -> float:
@@ -80,9 +81,9 @@ def _coverage(vals, mult, n, width, theta, r_max) -> np.ndarray:
     """
     if r_max < 0:
         raise DomainError(f"coverage order must be >= 0, got {r_max}")
-    if r_max >= np.iinfo(np.intp).max // 8:
+    if r_max >= _MAX_ORDERS:
         raise DomainError(
-            f"r_max = {r_max} asks for more coverage orders than one array can hold; "
+            f"r_max = {r_max} asks for more than {_MAX_ORDERS} coverage orders; "
             "pass a smaller r_max (CLI: --r-max)"
         )
     out = np.zeros(r_max + 1)
@@ -243,7 +244,8 @@ def dp_report(
 
     fit = "none" uses the supplied theta; fit = "eb-mle" maximizes the sketch
     marginal likelihood.  r_max defaults to the largest bucket count (beyond
-    which every estimate is exactly zero).
+    which every estimate is exactly zero); more than ``_MAX_ORDERS`` = 2^24
+    orders are refused before anything is allocated.
     """
     t0 = time.perf_counter()
     if r_max is not None and r_max < 0:

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,25 +66,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {
-            "model",
-            "n",
-            "width",
-            "repetitions",
-            "seed",
-            "estimator",
-            "theta",
-            "alpha",
-            "exponent",
-            "vocab",
-            "path",
-            "tokenizer",
-            "sampler",
-            "r_report",
-            "timing",
-            "workers",
-            "output",
-        }
+        known = {"n" if f.name == "n_schedule" else f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

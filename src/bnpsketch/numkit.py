@@ -89,11 +89,7 @@ def log_rising_factorial(a, u: int):
 
 
 def log_rising_factorial_prefix(a, u_max: int):
-    """Array L with L[u] = log (a)_(u) for u = 0..u_max, by cumulative sums.
-
-    The cumulative form keeps consecutive entries consistent to the last ulp,
-    which the convolution-based estimators rely on when they difference them.
-    """
+    """Array L with L[u] = log (a)_(u) for u = 0..u_max, by cumulative sums."""
     a = float(a)
     if a <= 0.0:
         raise DomainError(f"rising factorial base must be positive, got {a}")
@@ -153,12 +149,17 @@ def log_gamma(x):
     for i in range(int(shift.max(initial=0.0))):
         np.multiply(prod, x + i, out=prod, where=shift > i)
     y = x + shift
+    out = (y - 0.5) * (np.log(y) - 1.0) + (_HALF_LOG_2PI - 0.5) + _stirling_series(y) - np.log(prod)
+    return out if out.ndim else float(out)
+
+
+def _stirling_series(y):
+    """log Gamma(y) - (y - 1/2) log y + y - log(2 pi)/2, for y >= ``_LGAMMA_SWITCH``."""
     inv, inv2 = 1.0 / y, 1.0 / (y * y)
     series = _LGAMMA_ASYMP[-1]
     for coef in _LGAMMA_ASYMP[-2::-1]:
         series = coef + inv2 * series
-    out = (y - 0.5) * (np.log(y) - 1.0) + (_HALF_LOG_2PI - 0.5) + inv * series - np.log(prod)
-    return out if out.ndim else float(out)
+    return inv * series
 
 
 def _check_alpha(alpha) -> float:
@@ -192,12 +193,7 @@ class GfcTable:
     the rising factorial (alpha*t)_(u) in the basis of rising factorials
     (t)_(v), alpha in (0, 1).  For u >= 1 the v = 0 entry is exactly zero
     (log -inf) and every entry 1 <= v <= u is strictly positive.  Rows come
-    from the triangular recursion in log space.
-
-    The exact sketched-data estimators revisit rows for many nearby orders
-    (one per coverage order per distinct bucket count); recomputing each row from scratch
-    would turn an O(n^2) sweep into O(n^3).  Memory is O(u_max^2), acceptable
-    for the exact-mode cap of a few thousand.
+    from the triangular recursion in log space; memory is O(u_max^2).
     """
 
     def __init__(self, alpha):

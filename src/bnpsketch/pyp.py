@@ -2,16 +2,13 @@
 
 The exact posterior expressions sum a product of generalized factorial
 coefficients over the Cartesian product of per-bucket latent block counts,
-which is astronomically large as written.  Every summand, however, factors
-as f(t) * prod_s g_s(i_s) where t = |i| is the latent total block count, so
-the whole sum collapses to sum_t f(t) * exp(W[t]) with W the log-space
-convolution of the per-bucket coefficient sequences.  A bucket's sequence
-depends only on its count, so the work runs over the U <= sqrt(2n) distinct
-counts, and one reverse sweep of correlations gives every leave-one-out
-numerator: the exact estimators are O(n^2) instead of exponential, practical
-to several thousand observations; beyond the cap a Monte Carlo
-representation over distinct-count chains takes over (drawn per bucket under
-theta/J for a profile, under theta by ``pyp_coverage_mc``: see its docstring).
+which is astronomically large as written.  Every summand, however, is
+(s)_(t) * prod_j g_j(i_j) with t = |i|, s = theta/alpha, and (s)_(t) =
+E[X^t] for X ~ Gamma(s): the sum is the one-dimensional integral
+E[prod_j G_j(X)], G_j the polynomial of bucket j, over the U <= sqrt(2n)
+distinct counts.  Beyond the cap a Monte Carlo representation over
+distinct-count chains takes over (drawn per bucket under theta/J for a
+profile, under theta by ``pyp_coverage_mc``: see its docstring).
 """
 
 from __future__ import annotations
@@ -24,12 +21,13 @@ import numpy as np
 
 from .genmodel import PriorParams, crp_bucket_counts, distinct_chain, rng_from
 from .numkit import (
+    _LGAMMA_SWITCH,
     DomainError,
     GfcTable,
-    log_convolve,
-    log_correlate,
+    _stirling_series,
+    log_gamma,
+    log_rising_factorial,
     log_rising_factorial_prefix,
-    logsumexp,
 )
 from .report import EstimateReport, FittedPrior
 from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
@@ -53,29 +51,25 @@ __all__ = [
 
 DEFAULT_EXACT_CAP = 2000
 
+_NODE_DENSITY = 3  # nodes per 1/sqrt(x*) of the exact engine's grid
+_PROFILE_CELLS = 1 << 20  # cells of one block of orders of an exact profile (8 MB)
+
 
 class ExactCapError(DomainError):
-    """The exact convolution path refuses totals above its cap."""
+    """The exact path refuses totals above its cap."""
 
 
 @dataclass
 class LogBlockWeights:
-    """Log-space machinery of the latent total-block-count expansion.
+    """Per-count rows of the latent block-count expansion.
 
-    values[k] is a distinct occupied bucket count and multiplicity[k] the
-    number of buckets holding it; per_count[k][i] = log of (coefficient
-    expanding count values[k]) / J^i, from the rows of ``table``; powers[k]
-    is per_count[k]^{*(multiplicity[k] - 1)}; prefix[k] convolves the groups
-    of the counts below values[k]; total = prefix[-1] sums every assignment
-    with t latent blocks overall.
+    values[k] is a distinct occupied count, held by multiplicity[k] buckets;
+    per_count[k][i] = log of (its coefficient from ``table``) / J^i.
     """
 
     values: np.ndarray
     multiplicity: np.ndarray
     per_count: list
-    powers: list
-    prefix: list
-    total: np.ndarray
     table: GfcTable
 
 
@@ -88,111 +82,137 @@ def _check_cap(n: int, cap: int | None) -> None:
 
 
 def block_weights(counts, alpha, width: int | None = None, cap: int = DEFAULT_EXACT_CAP) -> LogBlockWeights:
-    """Build the per-count sequences and their convolutions.
+    """Build the row of each distinct occupied bucket count.
 
     counts are the bucket counts (empty buckets are neutral); width defaults
     to len(counts) and fixes the 1/J^i attenuation.  Totals above the cap
     raise ``ExactCapError`` pointing at the Monte Carlo path.
-
-    The m buckets sharing a count c contribute g_c^{*m}, so the work runs
-    over the U distinct counts; g_c^{*(m-1)} is kept for the leave-one-out
-    sweep of the exact engine.
     """
     counts = np.asarray(counts)
     values, mult = count_multiset(counts)
     _check_cap(sum(c * m for c, m in zip(values.tolist(), mult.tolist())), cap)
     width = int(width) if width is not None else int(counts.size)
-    occupied = values > 0
-    values, mult = values[occupied], mult[occupied]
+    values, mult = values[values > 0], mult[values > 0]
     table = GfcTable(float(alpha))
-    log_j = math.log(width)
-    per_count = [table.row(c) - np.arange(c + 1) * log_j for c in values.tolist()]
-    powers = []  # g_c^{*(m-1)}
-    for g, m in zip(per_count, mult.tolist()):
-        power = np.array([0.0])
-        for _ in range(m - 1):
-            power = log_convolve(power, g)
-        powers.append(power)
-    prefix = [np.array([0.0])]
-    for g, power in zip(per_count, powers):
-        prefix.append(log_convolve(prefix[-1], log_convolve(power, g)))
-    return LogBlockWeights(
-        values=values, multiplicity=mult, per_count=per_count, powers=powers, prefix=prefix,
-        total=prefix[-1], table=table,
-    )
+    per_count = [table.row(c) - np.arange(c + 1) * math.log(width) for c in values.tolist()]
+    return LogBlockWeights(values=values, multiplicity=mult, per_count=per_count, table=table)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp along ``axis``, shifted by the maximum of each slice."""
+    top = np.max(a, axis=axis, keepdims=True)
+    return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
 class _ExactEngine:
     """Shared state for exact estimates at many coverage orders.
 
-    numerator[k][i] = logsumexp_t W_{-k}[t] + logf_num[t + i], where W_{-k}
-    leaves one bucket of count values[k] out, does not depend on r.
-    Correlation is the adjoint of convolution, so one reverse sweep over the
-    groups yields every numerator[k], and a profile costs barely more than a
-    single order.
+    With P(x) = prod_k G_k(x)^m_k, G_k of coefficients exp(per_count[k]),
+    log_den = log E_s[P(X)], log_num_full = log E_{s+1}[P(X)] and the
+    leave-one-out numerator[k][i] = log E_{s+1}[X^i P(X) / G_k(X)]: trapezoid
+    sums on one grid in u = log X.
     """
 
     def __init__(self, sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP):
         params.require_estimable(need_alpha_positive=True)
-        self.params = params
-        self.n = sketch.n
-        self.width = sketch.spec.width
-        self.weights = w = block_weights(sketch.counts, params.alpha, width=self.width, cap=cap)
-        self.c_max = int(w.values.max(initial=0))
-        theta, alpha = params.theta, params.alpha
-        ratio = theta / alpha
-        self.logf_den = log_rising_factorial_prefix(ratio, self.n)
-        self.logf_num = log_rising_factorial_prefix(1.0 + ratio, self.n)
-        self.log_den = logsumexp(w.total + self.logf_den)
-        self.log_num_full = logsumexp(w.total + self.logf_num)
-        self.log_j = math.log(self.width)
-        self.numerator = [None] * w.values.size
-        acc = self.logf_num  # f_num correlated with every group above k
-        for k in reversed(range(w.values.size)):
-            b = log_correlate(w.powers[k], acc)
-            self.numerator[k] = log_correlate(w.prefix[k], b)
-            acc = log_correlate(w.per_count[k], b)
+        self.params, self.n, self.width = params, sketch.n, sketch.spec.width
+        self.weights = block_weights(sketch.counts, params.alpha, width=self.width, cap=cap)
+        self.c_max = int(self.weights.values.max(initial=0))
+        self.log_den, self.log_num_full, self.numerator = 0.0, 0.0, []  # an empty sketch: P = 1
+        if self.c_max:
+            self._integrate(params.theta / params.alpha)
 
-    def log_coverage(self, r: int) -> float:
-        """log of the coverage estimate at order r (-inf when it is zero)."""
-        r = int(r)
-        if r < 0:
-            raise DomainError(f"r must be >= 0, got {r}")
-        theta, alpha = self.params.theta, self.params.alpha
-        if r > self.c_max:
-            return -np.inf
-        log_pre = (
-            math.log(theta / self.width)
-            + float(log_rising_factorial_prefix(1.0 - alpha, max(r, 1))[r])
-            - math.log(theta + self.n)
-        )
-        if r == 0:
-            # every bucket keeps its own sequence, so the leave-one-out sum
-            # is the full one and the bucket sum contributes a factor J
-            return log_pre + self.log_j + self.log_num_full - self.log_den
-        values, mult = self.weights.values, self.weights.multiplicity
-        terms = []
-        for k in range(int(np.searchsorted(values, r)), values.size):
-            c = int(values[k])
-            g_repl = self.weights.table.row(c - r) - np.arange(c - r + 1) * self.log_j
-            log_num = logsumexp(g_repl + self.numerator[k][: c - r + 1])
-            log_binom = (
-                math.lgamma(c + 1) - math.lgamma(r + 1) - math.lgamma(c - r + 1)
-            )
-            terms.append(math.log(mult[k]) + log_binom + log_num)
-        return log_pre + logsumexp(np.array(terms)) - self.log_den
+    def _integrate(self, s: float) -> None:
+        w = self.weights
+        mult = w.multiplicity.astype(float)
+        buckets, index = float(mult.sum()), np.arange(self.c_max + 1)
+        padded = np.array([np.pad(g, (0, index.size - g.size), constant_values=-np.inf)
+                           for g in w.per_count])
+        # Newton for the peak u = log(s + T), T = sum m E_k: E_k, Var_k moments of i ~ g_k[i] e^(iu)
+        lo, hi = math.log(s + buckets), math.log(s + self.n)
+        u = 0.5 * (lo + hi)
+        for _ in range(200):
+            p = np.exp(padded + index * u - np.max(padded + index * u, axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            mean = p @ index
+            var = np.sum(p * (index - mean[:, None]) ** 2, axis=1)
+            total = s + float(mult @ mean)
+            psi = math.log(total) - u
+            lo, hi = (u, hi) if psi > 0.0 else (lo, u)
+            step = u - psi / min(float(mult @ var) / total - 1.0, -1e-300)
+            step = step if lo <= step <= hi else 0.5 * (lo + hi)  # the bracket is closed
+            if abs(step - u) <= 1e-14 * max(1.0, abs(u)):
+                break
+            u = step
+        # step 1/(3 sqrt(x*)); 14 widths right of the peak and left of that of the
+        # numerator without a bucket of the largest E_k; rows cut at exp(-45)
+        x, var_all, top = math.exp(u), float(mult @ var), int(np.argmax(mean))
+        x_left = x + 1.0 - mean[top]
+        h = 1.0 / (_NODE_DENSITY * math.sqrt(x))
+        right = u + 14.0 / math.sqrt(max(x - var_all, 1e-2))
+        extend = max(14.0 / math.sqrt(max(x_left - var_all + var[top], 1e-2)), 45.0 / (s + buckets))
+        last = w.per_count[-1] + index * right
+        cut = np.flatnonzero((last < last.max() - 45.0) & (index > last.argmax()))
+        rows = [g[: cut[0] + 1] if cut.size else g for g in w.per_count]
+        # s log s - s - log Gamma(s), from the Stirling series where it cancels
+        log_norm = (0.5 * math.log(s / (2.0 * math.pi)) - float(_stirling_series(s))
+                    if s >= _LGAMMA_SWITCH else s * math.log(s) - s - math.lgamma(s))
+        # E_k moves with u: grow left until each leave-one-out integrand is below
+        # exp(-36) of its maximum at the first node
+        left = math.log(x_left) - extend
+        while True:
+            nodes = right - h * np.arange(math.ceil((right - left) / h), -1, -1)
+            v = nodes - math.log(s)
+            log_g = np.array([_logsumexp(g[:, None] + np.arange(g.size)[:, None] * nodes, axis=0)
+                              for g in rows])
+            base = log_norm + math.log(h) - s * (np.expm1(v) - v) + mult @ log_g  # shape s
+            loo = (base + v) - log_g
+            if (loo[:, 0] < loo.max(axis=1) - 36.0).all():
+                break
+            left -= extend
+        self.log_den = float(_logsumexp(base, axis=0))
+        base += v  # shape s + 1
+        self.log_num_full = float(_logsumexp(base, axis=0))
+        self.numerator = [_logsumexp((base - lg) + np.arange(g.size)[:, None] * nodes, axis=1)
+                          for g, lg in zip(rows, log_g)]
 
-    def coverage(self, r: int) -> float:
-        return float(np.exp(self.log_coverage(r)))
+    def log_profile(self, r_max: int) -> np.ndarray:
+        """log coverage at orders 0..r_max, each bit for bit that of any longer profile.
+
+        Count c adds logsumexp_i g_{c-r}[i] + numerator[k][i] to orders r <= c.
+        """
+        if r_max < 0:
+            raise DomainError(f"r must be >= 0, got {r_max}")
+        theta, alpha, w = self.params.theta, self.params.alpha, self.weights
+        top = min(int(r_max), self.c_max)
+        # (1 - alpha)_(r) from log-gamma: a cumsum drifts by 3e-10 over 6 000 orders
+        log_pre = log_gamma(1.0 - alpha + np.arange(top + 1)) - log_gamma(1.0 - alpha)
+        log_pre = math.log(theta / self.width) + log_pre - math.log(theta + self.n) - self.log_den
+        out = np.full(int(r_max) + 1, -np.inf)
+        # at r = 0 every bucket keeps its row: the full numerator, J times
+        out[0] = log_pre[0] + math.log(self.width) + self.log_num_full
+        for c, m, num in zip(w.values.tolist(), w.multiplicity.tolist(), self.numerator):
+            per_block = max(1, _PROFILE_CELLS // num.size)
+            for lo in range(1, min(c, top) + 1, per_block):
+                orders = np.arange(lo, min(c, top, lo + per_block - 1) + 1)
+                cols = min(c - lo + 1, num.size)  # row c - r has c - r + 1 entries
+                rows = np.full((orders.size, cols), -np.inf)
+                for row, r in zip(rows, orders.tolist()):
+                    g = w.table.row(c - r)[:cols]
+                    row[: g.size] = g
+                rows += num[:cols] - np.arange(cols) * math.log(self.width)
+                terms = _logsumexp(rows, axis=1) + math.log(m) + log_gamma(c + 1.0)
+                terms -= log_gamma(orders + 1.0) + log_gamma(c + 1.0 - orders)  # m C(c, r)
+                out[orders] = np.logaddexp(out[orders], terms)
+        out[1 : top + 1] += log_pre[1:]
+        return out
 
     def loglik(self) -> float:
-        theta = self.params.theta
         w = self.weights
         log_multinom = math.lgamma(self.n + 1) - sum(
             m * math.lgamma(c + 1) for c, m in zip(w.values.tolist(), w.multiplicity.tolist())
         )
-        log_rf_total = float(log_rising_factorial_prefix(theta, self.n)[self.n])
-        return log_multinom - log_rf_total + self.log_den
+        return log_multinom - log_rising_factorial(self.params.theta, self.n) + self.log_den
 
 
 def pyp_loglik(sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP) -> float:
@@ -203,8 +223,9 @@ def pyp_loglik(sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP
 def pyp_coverage_exact(
     sketch: Sketch, params: PriorParams, r: int, cap: int = DEFAULT_EXACT_CAP
 ) -> float:
-    """Exact estimated mass of symbols with frequency r, via the convolution."""
-    return _ExactEngine(sketch, params, cap=cap).coverage(r)
+    """Exact estimated mass of symbols with frequency r: order r of the profile 0..r."""
+    r, engine = int(r), _ExactEngine(sketch, params, cap=cap)
+    return float(np.exp(engine.log_profile(min(r, engine.c_max))[r])) if r <= engine.c_max else 0.0
 
 
 def pyp_freq_counts(
@@ -378,9 +399,8 @@ def pyp_coverage_mc(
     ratios E[Z_j]/E[Z'], where Z' evaluates a rising-factorial statistic of a
     tuple of independent distinct-count chains read at depth c_s, and Z_j
     evaluates a companion statistic of the same tuple with bucket j's chain
-    read at depth c_j - r.  (The two statistics must be read exactly this
-    way round; any mixing of the depths breaks the identity with the exact
-    convolution value, which the test suite checks on small instances.)
+    read at depth c_j - r.  (Read exactly this way round: any mixing of the
+    depths breaks the identity with the exact value, which the tests check.)
 
     Each bucket draws one chain per sample, giving both depths at once; all
     Z statistics are assembled from log values with max shifts.  Ratios of
@@ -580,7 +600,6 @@ def pyp_report(
     debias: str = "tin",
     seed=0,
     cap: int = DEFAULT_EXACT_CAP,
-    fit_kwargs: dict | None = None,
 ) -> EstimateReport:
     """Bundle fitting and estimation under the two-parameter prior.
 
@@ -594,7 +613,7 @@ def pyp_report(
     if method == "exact":
         _check_cap(sketch.n, cap)  # before a fit, which an over-cap sketch would waste
     if fit == "eb-wasserstein":
-        wf = wasserstein_fit(sketch, seed=seed, **(fit_kwargs or {}))
+        wf = wasserstein_fit(sketch, seed=seed)
         prior = wf.prior
         params = PriorParams(alpha=prior.alpha, theta=prior.theta)
     elif fit == "none":
@@ -622,7 +641,7 @@ def pyp_report(
 
     if method == "exact":
         engine = _ExactEngine(sketch, params, cap=cap)
-        coverage = {r: engine.coverage(r) for r in range(r_max + 1)}
+        coverage = dict(enumerate(np.exp(engine.log_profile(r_max)).tolist()))
         tag = "pyp-exact"
     elif method == "mc":
         coverage, stderr, diagnostics = _mc_profile(

@@ -189,6 +189,17 @@ class TestEstimateCommand:
         assert "--r-max" in err and "Traceback" not in err
         assert run_cli(*argv, "--r-max", "3") == cli.EXIT_OK
 
+    def test_default_r_max_past_memory_exits_numeric(self, tmp_path, capsys, no_huge_arrays):
+        spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        path = tmp_path / "big.sketch"
+        sketch_save(Sketch(spec, counts=np.array([10**10, 5], dtype=np.uint64), n=10**10 + 5), path)
+        argv = ["estimate", "--sketch", str(path), "--prior", "dp", "--theta", "2.5",
+                "--output", str(tmp_path / "rep.json")]
+        assert run_cli(*argv) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "--r-max" in err and "Traceback" not in err
+        assert run_cli(*argv, "--r-max", "3") == cli.EXIT_OK
+
     def test_mc_count_past_signed_range_exits_numeric(self, tmp_path, capsys):
         spec = HashSpec(a=1, b=0, width=3, symbol_seed=0)
         path = tmp_path / "huge.sketch"
@@ -391,6 +402,12 @@ class TestExperimentCommand:
         every_key = {"prior": "pyp", "fit": "none", "r_max": 1, "theta": 1.0, "alpha": 0.5,
                      "method": "mc", "mc_samples": 200, "debias": "none"}
         ExperimentConfig.from_dict(dict(self.SMOKE, estimator=every_key))
+
+    def test_unknown_top_level_keys_rejected(self):
+        # the schedule is spelled "n" in a config; the field name is not a key
+        for key, value in (("widht", 8), ("n_schedule", [5, 10])):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                ExperimentConfig.from_dict(dict(self.SMOKE, **{key: value}))
 
     def test_workers_match_serial(self, tmp_path):
         base = dict(self.SMOKE, n=[5, 10], repetitions=2)

@@ -209,6 +209,15 @@ class TestReport:
         with pytest.raises(DomainError, match="r_max"):
             dp.dp_coverage_profile(s, 2.5, 1 << 62)
 
+    def test_orders_past_memory_name_r_max(self, no_huge_arrays):
+        # 10^10 + 1 orders fit the array limit but would take 80 GB
+        s = make_sketch([10**10, 5])
+        with pytest.raises(DomainError, match="--r-max"):
+            dp.dp_report(s, theta=2.5)
+        with pytest.raises(DomainError, match="--r-max"):
+            dp.dp_coverage_profile(s, 2.5, 10**10)
+        assert dp.dp_coverage_profile(s, 2.5, 3).size == 4
+
 
 def _mp_profile(vals, mult, n, width, theta, r_max):
     """Coverage of orders 0..r_max in 40-digit arithmetic."""

@@ -122,6 +122,77 @@ def per_bucket_exact(counts, width, alpha, theta):
     return np.array(profile), loglik, distinct
 
 
+def convolution_oracle(counts, width, alpha, theta):
+    """The exact engine as grouped log-space convolutions, O(U n^2).
+
+    Returns (W, log_profile, loglik): W[t] = log of the sum of the products
+    of per-bucket coefficients / J^t over the assignments of t latent
+    blocks; the profile's leave-one-out numerators come from one reverse
+    sweep of correlations over the groups of equal counts.
+    """
+    n = int(sum(counts))
+    values, mult = np.unique([int(c) for c in counts if c > 0], return_counts=True)
+    table = GfcTable(alpha)
+    log_j = math.log(width)
+    per_count = [table.row(c) - np.arange(c + 1) * log_j for c in values.tolist()]
+    powers = []  # g_c^{*(m-1)}
+    for g, m in zip(per_count, mult.tolist()):
+        power = np.array([0.0])
+        for _ in range(m - 1):
+            power = log_convolve(power, g)
+        powers.append(power)
+    prefix = [np.array([0.0])]
+    for g, power in zip(per_count, powers):
+        prefix.append(log_convolve(prefix[-1], log_convolve(power, g)))
+    total = prefix[-1]
+
+    def log_rf(a):
+        """log (a)_(t), t = 0..n, by compensated summation: a plain cumsum drifts by 1e-10."""
+        out, acc, comp = [0.0], 0.0, 0.0
+        for t in range(n):
+            term = math.log(a + t)
+            total = acc + term
+            comp += (acc - total) + term if abs(acc) >= abs(term) else (term - total) + acc
+            acc = total
+            out.append(acc + comp)
+        return np.array(out)
+
+    logf_num = log_rf(1.0 + theta / alpha)
+    log_den = logsumexp(total + log_rf(theta / alpha))
+    numerator = [None] * values.size
+    acc = logf_num  # f_num correlated with every group above k
+    for k in reversed(range(values.size)):
+        b = log_correlate(powers[k], acc)
+        numerator[k] = log_correlate(prefix[k], b)
+        acc = log_correlate(per_count[k], b)
+    c_max = int(values.max(initial=0))
+    profile = np.full(c_max + 1, -np.inf)
+    for r in range(c_max + 1):
+        log_pre = (
+            math.log(theta / width) + log_rising_factorial(1.0 - alpha, r) - math.log(theta + n)
+        )
+        if r == 0:
+            log_num = math.log(width) + logsumexp(total + logf_num)
+        else:
+            terms = []
+            for k in range(int(np.searchsorted(values, r)), values.size):
+                c = int(values[k])
+                g_repl = table.row(c - r) - np.arange(c - r + 1) * log_j
+                log_binom = math.lgamma(c + 1) - math.lgamma(r + 1) - math.lgamma(c - r + 1)
+                terms.append(
+                    math.log(mult[k]) + log_binom + logsumexp(g_repl + numerator[k][: c - r + 1])
+                )
+            log_num = logsumexp(terms)
+        profile[r] = log_pre + log_num - log_den
+    loglik = (
+        math.lgamma(n + 1)
+        - sum(m * math.lgamma(c + 1) for c, m in zip(values.tolist(), mult.tolist()))
+        - log_rising_factorial(theta, n)
+        + log_den
+    )
+    return total, profile, loglik
+
+
 def _shifted_moments(log_x):
     shift = float(np.max(log_x))
     if shift == -np.inf:
@@ -224,32 +295,33 @@ class TestBlockWeights:
         assert w.values.tolist() == [1] and w.multiplicity.tolist() == [1]
         assert w.per_count[0][0] == -np.inf
         assert math.isclose(math.exp(w.per_count[0][1]), 0.5 / 4, rel_tol=1e-12)
-        np.testing.assert_allclose(w.total, w.per_count[0])
 
     def test_two_singletons_top_weight(self):
-        w = pyp.block_weights([1, 1], 0.5, width=2)
-        assert math.isclose(math.exp(w.total[2]), 1.0 / 16.0, rel_tol=1e-12)
+        total, _, _ = convolution_oracle([1, 1], 2, 0.5, 1.0)
+        assert math.isclose(math.exp(total[2]), 1.0 / 16.0, rel_tol=1e-12)
 
     def test_total_length_and_zero_head(self):
-        w = pyp.block_weights([3, 2], 0.4, width=2)
-        assert w.total.size == 6
-        assert w.total[0] == -np.inf
+        total, _, _ = convolution_oracle([3, 2], 2, 0.4, 1.0)
+        assert total.size == 6
+        assert total[0] == -np.inf
 
     def test_leave_one_out_matches_direct_rebuild(self):
         counts = [3, 1, 2, 3, 0, 1, 1]
-        engine = pyp._ExactEngine(make_sketch(counts, width=7), PriorParams(0.3, 2.0))
+        params = PriorParams(0.3, 2.0)
+        engine = pyp._ExactEngine(make_sketch(counts, width=7), params)
         w = engine.weights
         assert w.values.tolist() == [1, 2, 3]
         assert w.multiplicity.tolist() == [3, 1, 2]
         table = GfcTable(0.3)
+        logf_num = log_rising_factorial_prefix(1.0 + params.theta / params.alpha, sum(counts))
         for k, c in enumerate(w.values.tolist()):
             rest = list(counts)
             rest.remove(c)
             direct = np.array([0.0])
             for c_s in rest:
                 direct = log_convolve(direct, table.row(c_s) - np.arange(c_s + 1) * math.log(7))
-            want = log_correlate(direct, engine.logf_num)
-            np.testing.assert_allclose(engine.numerator[k], want, atol=1e-10)
+            want = log_correlate(direct, logf_num)
+            np.testing.assert_allclose(engine.numerator[k][: c + 1], want, atol=1e-10)
 
     def test_cap(self):
         with pytest.raises(pyp.ExactCapError):
@@ -292,6 +364,87 @@ class TestGroupedEngine:
     def test_single_bucket(self, alpha, theta):
         self.check([7], 1, alpha, theta)
         self.check([0, 0, 5, 0], 4, alpha, theta)
+
+
+def single_bucket_log_profile(c, alpha, theta):
+    """Closed form at J = 1: theta/(theta+c) (1-alpha)_(r) C(c, r) (theta+alpha)_(c-r) / (theta)_(c)."""
+
+    def log_rf(a, u):
+        return math.lgamma(a + u) - math.lgamma(a)
+
+    return np.array([
+        math.log(theta / (theta + c)) + log_rf(1.0 - alpha, r)
+        + math.lgamma(c + 1) - math.lgamma(r + 1) - math.lgamma(c - r + 1)
+        + log_rf(theta + alpha, c - r) - log_rf(theta, c)
+        for r in range(c + 1)
+    ])
+
+
+class TestQuadratureEngine:
+    """The integral engine against the convolution oracle and closed forms."""
+
+    @staticmethod
+    def assert_matches_oracle(sketch, alpha, theta, atol=1e-10):
+        counts = sketch.counts.astype(np.int64).tolist()
+        _, want, want_ll = convolution_oracle(counts, sketch.spec.width, alpha, theta)
+        params = PriorParams(alpha, theta)
+        engine = pyp._ExactEngine(sketch, params, cap=None)
+        got = engine.log_profile(engine.c_max)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        live = np.isfinite(want)
+        assert np.max(np.abs(got[live] - want[live])) <= atol
+        assert_rel_close(engine.loglik(), want_ll, 1e-10, floor=1.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_drawn_sketches_match_oracle(self, alpha):
+        # every theta from 0.01 to 1e5, every width and n up to 8000 once per alpha
+        sizes = [50, 500, 2000, 8000]
+        for i, theta in enumerate([0.01, 1.0, 100.0, 1e5]):
+            width, n = (16, 128, 1024)[i % 3], sizes[(i + int(20 * alpha)) % 4]
+            seed = 1000 * i + int(100 * alpha)
+            s = Sketch(HashSpec.random(width, seed))
+            s.insert_ids(sample_pyp_sequence(PriorParams(alpha, theta), n, seed, with_weights=False).symbols)
+            self.assert_matches_oracle(s, alpha, theta)
+
+    @pytest.mark.parametrize("counts,width,alpha,theta", [
+        # the node step: 1/(3 sqrt(x*)), not sigma/3 (7.5e-7 off)
+        pytest.param([0, 0, 5, 0], 4, 0.95, 0.01, id="step"),
+        # the peak sits on the bracket's upper end, log(s + n)
+        pytest.param([7], 1, 0.95, 0.01, id="peak"),
+        # the block counts' means move with u: the tail check widens the grid (7e-7 off)
+        pytest.param([91, 94, 97, 98, 98, 103, 114, 115, 116, 116, 137, 138, 142, 157, 161, 223],
+                     16, 0.95, 1.0, id="moving-means"),
+    ])
+    def test_rule_cases_match_oracle(self, counts, width, alpha, theta):
+        self.assert_matches_oracle(make_sketch(counts, width=width), alpha, theta)
+
+    @pytest.mark.parametrize("alpha", [0.75, 0.95])
+    @pytest.mark.parametrize("theta", [0.01, 100.0])
+    def test_single_bucket_closed_form(self, alpha, theta):
+        # at theta = 100, alpha = 0.95 order 2000 needs the grid's left end at
+        # the peak of the leave-one-out integrand, far left of the main peak
+        engine = pyp._ExactEngine(make_sketch([2000]), PriorParams(alpha, theta))
+        want = single_bucket_log_profile(2000, alpha, theta)
+        np.testing.assert_allclose(engine.log_profile(2000), want, rtol=0, atol=1e-9)
+
+    def test_node_density_doubling_moves_nothing(self, monkeypatch):
+        sketches = [
+            (make_sketch([0, 0, 5, 0]), PriorParams(0.95, 0.01)),
+            (make_sketch([300, 2, 40, 1, 1, 7], width=8), PriorParams(0.5, 10.0)),
+            (make_sketch([2000]), PriorParams(0.75, 0.01)),
+        ]
+        want = [pyp._ExactEngine(s, p).log_profile(int(s.counts.max())) for s, p in sketches]
+        monkeypatch.setattr(pyp, "_NODE_DENSITY", 2 * pyp._NODE_DENSITY)
+        for (s, p), w in zip(sketches, want):
+            got = pyp._ExactEngine(s, p).log_profile(int(s.counts.max()))
+            assert np.max(np.abs(got - w)) < 1e-10
+
+    def test_order_is_read_from_the_profile_up_to_it(self):
+        s = make_sketch([9, 4, 4, 1, 0], width=8)
+        params = PriorParams(0.5, 3.0)
+        rep = pyp.pyp_report(s, params=params, r_max=12)
+        for r in range(13):
+            assert pyp.pyp_coverage_exact(s, params, r) == rep.coverage[r]
 
 
 class TestExactEstimators:
