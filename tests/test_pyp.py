@@ -148,13 +148,13 @@ def convolution_oracle(counts, width, alpha, theta):
 
     def log_rf(a):
         """log (a)_(t), t = 0..n, by compensated summation: a plain cumsum drifts by 1e-10."""
-        out, acc, comp = [0.0], 0.0, 0.0
+        out, run, comp = [0.0], 0.0, 0.0
         for t in range(n):
             term = math.log(a + t)
-            total = acc + term
-            comp += (acc - total) + term if abs(acc) >= abs(term) else (term - total) + acc
-            acc = total
-            out.append(acc + comp)
+            nxt = run + term
+            comp += (run - nxt) + term if abs(run) >= abs(term) else (term - nxt) + run
+            run = nxt
+            out.append(run + comp)
         return np.array(out)
 
     logf_num = log_rf(1.0 + theta / alpha)
