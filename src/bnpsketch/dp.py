@@ -40,6 +40,15 @@ DEFAULT_THETA_BOUNDS = (1e-3, 1e9)
 _MAX_ORDERS = 1 << 24  # coverage orders of one profile, at most: 128 MB of float64
 
 
+def _check_orders(r_max: int) -> None:
+    """Refuse a profile of more than ``_MAX_ORDERS`` orders, before anything is allocated."""
+    if r_max >= _MAX_ORDERS:
+        raise DomainError(
+            f"r_max = {r_max} asks for more than {_MAX_ORDERS} coverage orders; "
+            "pass a smaller r_max (CLI: --r-max)"
+        )
+
+
 def _check_theta(theta) -> float:
     theta = float(theta)
     if theta <= 0.0:
@@ -81,11 +90,7 @@ def _coverage(vals, mult, n, width, theta, r_max) -> np.ndarray:
     """
     if r_max < 0:
         raise DomainError(f"coverage order must be >= 0, got {r_max}")
-    if r_max >= _MAX_ORDERS:
-        raise DomainError(
-            f"r_max = {r_max} asks for more than {_MAX_ORDERS} coverage orders; "
-            "pass a smaller r_max (CLI: --r-max)"
-        )
+    _check_orders(r_max)
     out = np.zeros(r_max + 1)
     out[0] = theta / (theta + n)
     z = theta / width

@@ -292,17 +292,26 @@ def distinct_chain(c: int, params: PriorParams, size: int, rng: np.random.Genera
     probability of the predictive scheme after i-1 observations, so one walk
     yields every prefix count.  K_i is one array updated in place: copy what
     you keep.  Step i >= 2 draws ``rng.random(size)``, so a replay from the
-    same generator state yields the same chains.
+    same generator state yields the same chains; K_1 draws nothing.  A step
+    reads p from a table over K_{i-1} <= i - 1, whose entries are the
+    elementwise formula's bit for bit, into buffers reused by every step.
     """
     alpha, theta = params.alpha, params.theta
     k = np.zeros(size, dtype=np.int64)
     yield 0, k
-    if c >= 1:
-        k += 1
-        yield 1, k
+    if c < 1:
+        return
+    k += 1
+    yield 1, k
+    if c < 2:
+        return
+    numerators = theta + alpha * np.arange(c)
+    u, p, new = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for i in range(2, c + 1):
-        p = (theta + alpha * k) / (theta + i - 1)
-        k += rng.random(size) < p
+        rng.random(out=u)
+        # mode="clip" writes into p directly ("raise" buffers the output); K < i
+        np.take(numerators[:i] / (theta + i - 1), k, out=p, mode="clip")
+        k += np.less(u, p, out=new)
         yield i, k
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dp import _check_orders, dp_report
 from .genmodel import PriorParams, crp_bucket_counts, distinct_chain, rng_from
 from .numkit import (
     _LGAMMA_SWITCH,
@@ -255,6 +256,19 @@ def _shifted_moments(log_x: np.ndarray):
 # Working set of one block of orders of the Monte Carlo profile: orders x
 # samples cells of one float64 sum and one small-int chain read, about 9 MB.
 _MC_CELLS = 1 << 20
+_MAX_MC_SAMPLES = 1 << 24  # samples of one profile, at most: 128 MB per float64 array
+
+
+def _check_mc_samples(num_samples) -> int:
+    num_samples = int(num_samples)
+    if num_samples < 100:
+        raise DomainError(f"need at least 100 Monte Carlo samples, got {num_samples}")
+    if num_samples > _MAX_MC_SAMPLES:
+        raise DomainError(
+            f"{num_samples} Monte Carlo samples exceed the limit of {_MAX_MC_SAMPLES}; "
+            "pass fewer samples (CLI: --mc-samples)"
+        )
+    return num_samples
 
 
 def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, seed, debias: str,
@@ -262,17 +276,18 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     """(coverage, stderr, diagnostics) at each of ``orders`` from one draw of the chains.
 
     Each occupied bucket's chains are drawn under PY(alpha, scale), in bucket
-    order, from one generator.  Pass 1 walks them to depth c for Z'; pass 2
-    replays them from the states saved in pass 1, reads depth c - r for a
+    order, from one generator.  A count-1 bucket's chain is K_1 = 1 and draws
+    nothing, so such buckets are never walked: pass 1 adds their constant to
+    Z' in bucket order, and their order-1 terms, all equal, enter pass 2 once
+    with weight m_1.  Pass 1 walks every other bucket to depth c for Z'; pass
+    2 replays it from the state saved in pass 1, reads depth c - r for a
     block of orders (``_MC_CELLS``) and sums w_j Z_j per order, the scale
     entering as (scale)_(c-r)/(scale)_(c) and the lookup (scale/alpha)_(K).
     The Tin correction is linear in Z_j, so it and the SE are applied to the
     sum.  Diagnostics: Kish's ESS (sum w)^2/sum w^2, largest share max w/sum w.
     """
     params.require_estimable(need_alpha_positive=True)
-    num_samples = int(num_samples)
-    if num_samples < 100:
-        raise DomainError(f"need at least 100 Monte Carlo samples, got {num_samples}")
+    num_samples = _check_mc_samples(num_samples)
     if debias not in ("none", "tin"):
         raise DomainError(f"unknown debias mode {debias!r}")
     values, _ = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
@@ -286,6 +301,8 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     rng = rng_from(seed)
     counts = np.asarray(sketch.counts, dtype=np.int64)
     occ_counts = counts[counts > 0].tolist()  # chains are drawn in bucket order
+    walked = [c for c in occ_counts if c > 1]
+    ones = len(occ_counts) - len(walked)
     chain = PriorParams(alpha, scale)
 
     # the chain-value lookup, and the two f tables times J^(-t)
@@ -299,9 +316,12 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     log_pre = math.log(theta / width) + log_pre - math.log(theta + n)
 
     states = []
-    t_total = np.zeros(num_samples, dtype=np.int64)
+    t_total = np.full(num_samples, ones, dtype=np.int64)
     s_total = np.zeros(num_samples)
     for c in occ_counts:
+        if c == 1:  # K_1 = 1: the term a walk would add, in the same place of the sum
+            s_total += log_rf_chain[1]
+            continue
         states.append(rng.bit_generator.state)
         for _, k_c in distinct_chain(c, chain, num_samples, rng):
             pass
@@ -309,47 +329,92 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
         s_total += log_rf_chain[k_c]
     end_state = rng.bit_generator.state
 
-    log_zden = log_f_den[t_total] - s_total
-    den_shift, den_mean = _shifted_moments(log_zden)
-    zden_sh = np.exp(log_zden - den_shift)
-    var_den = float(np.var(zden_sh, ddof=1))
+    # Z' / e^den_shift, in place of log Z'
+    zden = log_f_den[t_total] - s_total
+    den_shift = float(np.max(zden))
+    zden -= den_shift
+    np.exp(zden, out=zden)
+    den_mean = float(np.mean(zden))
+    var_den = float(np.var(zden, ddof=1))
+    tin = debias == "tin"
 
     def kish(w_sh):
         total = float(np.sum(w_sh))
         return total * total / float(np.dot(w_sh, w_sh)), float(np.max(w_sh)) / total
 
-    den_ess, den_share = kish(zden_sh)
+    den_ess, den_share = kish(zden)
     diagnostics = {"ess": {}, "max_weight_share": {}, "den_ess": den_ess,
                    "den_max_weight_share": den_share}
 
-    def finish(r, log_agg, log_prefactor):
+    if 0 in coverage:  # every bucket keeps depth c_s: all J ratios coincide, with weight 1
+        log_agg = log_f_num[t_total] - s_total
         num_shift, num_mean = _shifted_moments(log_agg)
-        value = 0.0
-        if num_mean > 0.0:
-            value = math.exp(num_shift - den_shift) * num_mean / den_mean
-            if debias == "tin":
-                cov = float(np.cov(np.exp(log_agg - num_shift), zden_sh, ddof=1)[0, 1])
-                value *= 1.0 + (
-                    cov / (num_samples * num_mean * den_mean)
-                    - var_den / (num_samples * den_mean**2)
-                )
-        if r == 0:  # every bucket keeps depth c_s: all J ratios coincide, with weight 1
-            value *= width
-            log_agg = math.log(width) + log_agg
-        coverage[r] = math.exp(log_prefactor) * value
+        value = math.exp(num_shift - den_shift) * num_mean / den_mean
+        if tin:
+            cov = float(np.cov(np.exp(log_agg - num_shift), zden, ddof=1)[0, 1])
+            value *= 1.0 + (
+                cov / (num_samples * num_mean * den_mean)
+                - var_den / (num_samples * den_mean**2)
+            )
+        coverage[0] = math.exp(float(log_pre[0])) * (value * width)
         # delta-method SE of mean(A)/mean(B) from the residuals A_i - R*B_i (no cancellation)
+        log_agg = math.log(width) + log_agg
         agg_shift, agg_mean = _shifted_moments(log_agg)
-        ess = share = 0.0
-        if agg_mean > 0.0:
-            agg_sh = np.exp(log_agg - agg_shift)
-            var_resid = float(np.var(agg_sh - agg_mean / den_mean * zden_sh, ddof=1))
-            stderr[r] = (math.exp(log_prefactor + agg_shift - den_shift)
-                         * math.sqrt(var_resid / num_samples) / den_mean)
-            ess, share = kish(agg_sh)
-        diagnostics["ess"][r], diagnostics["max_weight_share"][r] = ess, share
+        agg_sh = np.exp(log_agg - agg_shift)
+        var_resid = float(np.var(agg_sh - agg_mean / den_mean * zden, ddof=1))
+        stderr[0] = (math.exp(float(log_pre[0]) + agg_shift - den_shift)
+                     * math.sqrt(var_resid / num_samples) / den_mean)
+        diagnostics["ess"][0], diagnostics["max_weight_share"][0] = kish(agg_sh)
+        del log_agg, agg_sh  # not held through pass 2
 
-    if 0 in coverage:
-        finish(0, log_f_num[t_total] - s_total, float(log_pre[0]))
+    # orders >= 1 are finished from their linear sums: the covariance and the
+    # SE residual of mean(A)/mean(B) are dot products with the centred Z'
+    zden -= den_mean
+
+    def finish(r, log_scale, lin_row):
+        total = float(np.sum(lin_row))
+        mean = total / num_samples
+        factor = math.exp(log_scale - den_shift) / den_mean
+        value = factor * mean
+        if tin:
+            cov = float(np.dot(lin_row, zden)) / (num_samples - 1)
+            value *= 1.0 + (
+                cov / (num_samples * mean * den_mean)
+                - var_den / (num_samples * den_mean**2)
+            )
+        coverage[r] = value
+        resid = lin_row - (mean / den_mean) * zden
+        resid -= np.mean(resid)
+        var_resid = float(np.dot(resid, resid)) / (num_samples - 1)
+        stderr[r] = factor * math.sqrt(var_resid / num_samples)
+        diagnostics["ess"][r] = total * total / float(np.dot(lin_row, lin_row))
+        diagnostics["max_weight_share"][r] = float(np.max(lin_row)) / total
+
+    def add_term(row, logw, idx, log_chain):
+        """lin[row] += exp(logw + log_f_num[idx] - log_chain - shift[row])."""
+        term = log_f_num.take(idx, mode="clip")
+        term -= log_chain
+        term += logw
+        top = float(np.max(term))
+        if top > shift[row]:
+            lin[row] *= math.exp(shift[row] - top)
+            shift[row] = top
+        term -= shift[row]
+        lin[row] += np.exp(term, out=term)
+
+    def add_bucket(c, k_c, rows):
+        """The terms of one walked bucket, from its final chains k_c and its reads."""
+        t_rest, s_rest = t_total - k_c, s_total - log_rf_chain[k_c]
+        idx, lookup = np.empty_like(t_rest), np.empty(num_samples)
+        for i, row in rows.items():
+            logw = math.lgamma(c + 1) - math.lgamma(c - i + 1) - math.lgamma(i + 1)
+            logw = logw + log_scale_rf[i] - log_scale_rf[c]
+            np.copyto(idx, reads[row])  # an int64 index gathers ~4x faster than a small-int one
+            np.take(log_rf_chain, idx, out=lookup, mode="clip")  # "raise" would buffer the output
+            lookup += s_rest
+            idx += t_rest
+            add_term(row, logw, idx, lookup)
+
     live = sorted(r for r in coverage if 0 < r <= c_max)
     per_block = max(1, _MC_CELLS // num_samples)
     for lo in range(0, len(live), per_block):
@@ -358,7 +423,9 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
         shift = np.full(len(block), -np.inf)
         lin = np.zeros((len(block), num_samples))
         reads = np.empty(lin.shape, dtype=np.min_scalar_type(-c_max))  # chain values are <= c_max
-        for c, state in zip(occ_counts, states):
+        if ones and block[0] == 1:  # every count-1 bucket reads K_0 = 0 at order 1: one term
+            add_term(0, math.log(ones) - float(log_scale_rf[1]), t_total - 1, s_total - log_rf_chain[1])
+        for c, state in zip(walked, states):
             rows = {c - r: row for row, r in enumerate(block) if r <= c}  # depth -> row
             if not rows:
                 continue
@@ -366,22 +433,11 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
             for i, k_c in distinct_chain(c, chain, num_samples, rng):
                 if i in rows:
                     reads[rows[i]] = k_c
-            t_rest, s_rest = t_total - k_c, s_total - log_rf_chain[k_c]
-            for i, row in rows.items():
-                logw = math.lgamma(c + 1) - math.lgamma(c - i + 1) - math.lgamma(i + 1)
-                logw = logw + log_scale_rf[i] - log_scale_rf[c]
-                k_i = reads[row]
-                log_term = logw + (log_f_num[t_rest + k_i] - (s_rest + log_rf_chain[k_i]))
-                top = float(np.max(log_term))
-                if top > shift[row]:
-                    lin[row] *= math.exp(shift[row] - top)
-                    shift[row] = top
-                lin[row] += np.exp(log_term - shift[row])
+            add_bucket(c, k_c, rows)
         rng.bit_generator.state = end_state
         # the prefactor goes into the sum: (1-alpha)_(r) passes 1e308 from r ~ 170
-        with np.errstate(divide="ignore"):
-            for r, row_shift, row in zip(block, shift, lin):
-                finish(r, (row_shift + log_pre[r]) + np.log(row), 0.0)
+        for r, row_shift, row in zip(block, shift, lin):
+            finish(r, row_shift + log_pre[r], row)
     return coverage, stderr, diagnostics
 
 
@@ -606,12 +662,21 @@ def pyp_report(
     A Wasserstein fit may land on alpha = 0, where the two-parameter
     estimators degenerate; the report then falls back to the closed-form
     zero-discount estimators at the fitted theta (method tag "dp-exact").
+    r_max defaults to the largest bucket count.  The exact and Monte Carlo
+    profiles refuse more orders than the zero-discount one (2^24), and the
+    Monte Carlo profile more than 2^24 samples, before a fit or an allocation.
     """
     t0 = time.perf_counter()
     if r_max is not None and r_max < 0:
         raise DomainError(f"r_max must be >= 0, got {r_max}")
+    # refusals before a fit, which a refused sketch would waste
     if method == "exact":
-        _check_cap(sketch.n, cap)  # before a fit, which an over-cap sketch would waste
+        _check_cap(sketch.n, cap)
+    r_max = int(count_multiset(sketch.counts)[0][-1]) if r_max is None else int(r_max)
+    if method in ("exact", "mc"):
+        _check_orders(r_max)
+    if method == "mc":
+        mc_samples = _check_mc_samples(mc_samples)
     if fit == "eb-wasserstein":
         wf = wasserstein_fit(sketch, seed=seed)
         prior = wf.prior
@@ -625,14 +690,11 @@ def pyp_report(
     if params.alpha == 0.0:
         if fit != "eb-wasserstein":
             raise DomainError("alpha = 0 is the zero-discount prior; use the dp estimators")
-        from .dp import dp_report
-
         rep = dp_report(sketch, theta=params.theta, fit="none", r_max=r_max)
         rep.prior = prior
         rep.wall_time = time.perf_counter() - t0
         return rep
 
-    r_max = int(count_multiset(sketch.counts)[0][-1]) if r_max is None else int(r_max)
     theta, alpha = params.theta, params.alpha
     n = sketch.n
     coverage: dict[int, float] = {}

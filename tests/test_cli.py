@@ -200,6 +200,38 @@ class TestEstimateCommand:
         assert "--r-max" in err and "Traceback" not in err
         assert run_cli(*argv, "--r-max", "3") == cli.EXIT_OK
 
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_pyp_orders_past_memory_exit_numeric(self, sketch_file, tmp_path, capsys, monkeypatch,
+                                                  method):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a profile ran past the order limit")
+
+        monkeypatch.setattr(pyp, "_ExactEngine", must_not_run)
+        monkeypatch.setattr(pyp, "_mc_profile", must_not_run)
+        out = tmp_path / "rep.json"
+        code = run_cli("estimate", "--sketch", str(sketch_file), "--prior", "pyp", "--alpha", "0.5",
+                       "--theta", "1", "--method", method, "--r-max", str(10**10),
+                       "--output", str(out))
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "--r-max" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_mc_samples_past_ceiling_exits_numeric(self, sketch_file, tmp_path, capsys,
+                                                   monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the profile ran past the sample limit")
+
+        monkeypatch.setattr(pyp, "_mc_profile", must_not_run)
+        out = tmp_path / "rep.json"
+        code = run_cli("estimate", "--sketch", str(sketch_file), "--prior", "pyp", "--alpha", "0.5",
+                       "--theta", "1", "--method", "mc", "--mc-samples", str(2**24 + 1),
+                       "--output", str(out))
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "--mc-samples" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_mc_count_past_signed_range_exits_numeric(self, tmp_path, capsys):
         spec = HashSpec(a=1, b=0, width=3, symbol_seed=0)
         path = tmp_path / "huge.sketch"

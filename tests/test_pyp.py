@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from bnpsketch import dp, pyp
-from bnpsketch.genmodel import PriorParams, rng_from, sample_distinct_pairs, sample_pyp_sequence
+from bnpsketch.genmodel import (
+    PriorParams,
+    distinct_chain,
+    rng_from,
+    sample_distinct_pairs,
+    sample_pyp_sequence,
+)
 from bnpsketch.numkit import (
     DomainError,
     GfcTable,
@@ -283,6 +289,10 @@ def per_order_mc_reference(sketch, params, r, num_samples, seed, debias="tin"):
             / den_mean
         )
     return math.exp(log_prefactor) * total, stderr
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("ran past a refusal")
 
 
 def assert_rel_close(got, want, rel, floor=0.0):
@@ -563,6 +573,12 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             pyp.pyp_coverage_mc(make_sketch([2, 1]), PriorParams(0.5, 1.0), 0, 99, seed=0)
 
+    def test_sample_ceiling(self, monkeypatch):
+        # refused before the generator is made, so nothing of 2^24 samples is drawn or allocated
+        monkeypatch.setattr(pyp, "rng_from", must_not_run)
+        with pytest.raises(DomainError, match="--mc-samples"):
+            pyp.pyp_coverage_mc(make_sketch([2, 1]), PriorParams(0.5, 1.0), 0, 2**24 + 1, seed=0)
+
     def test_debias_validation(self):
         with pytest.raises(DomainError):
             pyp.pyp_coverage_mc(make_sketch([2]), PriorParams(0.5, 1.0), 0, 1000, 0, debias="x")
@@ -599,10 +615,19 @@ class TestMonteCarlo:
         # is summed over buckets, and to roundoff at r >= 1, where the Tin
         # correction is applied to the weighted sum instead of to each term
         params = PriorParams(alpha, theta)
-        for trial in range(3):
+        sketches = []
+        for _ in range(3):
             width = int(rng.integers(2, 40))
             counts = np.bincount(rng.integers(0, width, int(rng.integers(1, 60))), minlength=width)
-            s = make_sketch(counts, width=width)
+            sketches.append(counts)
+        # a wide sketch of mostly count-1 buckets, whose chains the profile
+        # never walks.  Its order-1 numerator is nearly proportional to Z', so
+        # the SE's residuals A - R*B cancel to ~1e-5 of A and roundoff in A
+        # moves the SE by up to ~2e-10 relative (the unfolded profile too)
+        sketches.append(np.bincount(rng.integers(0, 4096, 200), minlength=4096))
+        for trial, counts in enumerate(sketches):
+            s = make_sketch(counts, width=counts.size)
+            se_rel = 1e-12 if trial < 3 else 1e-9
             for r in range(int(counts.max()) + 2):
                 seed = 100 * trial + r
                 want = per_order_mc_reference(s, params, r, 400, seed, debias)
@@ -610,8 +635,8 @@ class TestMonteCarlo:
                 if r == 0:
                     assert got == want
                 else:
-                    for g, w in zip(got, want):
-                        assert_rel_close(g, w, 1e-12)
+                    assert_rel_close(got[0], want[0], 1e-12)
+                    assert_rel_close(got[1], want[1], se_rel)
                 # a generator is left where the draws end, as one pass leaves it
                 gen_ref, gen = np.random.default_rng(seed), np.random.default_rng(seed)
                 per_order_mc_reference(s, params, r, 400, gen_ref, debias)
@@ -673,6 +698,22 @@ class TestMonteCarloProfile:
         got = pyp.pyp_report(s, **kw).to_dict()
         del want["wall_time"], got["wall_time"]
         assert got == want
+
+    def test_count_one_buckets_are_never_walked(self, monkeypatch):
+        # a count-1 bucket's chain is K_1 = 1: its constant and its order-1
+        # term need no walk; pass 1 walks each other bucket once and pass 2
+        # (one block of orders) replays it once
+        walked = []
+
+        def counting_chain(c, params, size, rng):
+            walked.append(c)
+            return distinct_chain(c, params, size, rng)
+
+        monkeypatch.setattr(pyp, "distinct_chain", counting_chain)
+        s = make_sketch([1, 3, 1, 1, 2, 0, 1, 1], width=8)
+        rep = pyp.pyp_report(s, params=PriorParams(0.5, 2.0), method="mc", mc_samples=500, seed=4)
+        assert sorted(walked) == [2, 2, 3, 3]
+        assert rep.coverage[1] > 0.0 and rep.mc_stderr[1] > 0.0
 
     def test_trust_measures(self):
         s = make_sketch([4, 1, 0, 2, 1], width=8)
@@ -847,6 +888,29 @@ class TestReport:
     def test_zero_discount_requires_dp_route(self):
         with pytest.raises(DomainError):
             pyp.pyp_report(make_sketch([2, 1]), params=PriorParams(0.0, 1.0))
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_orders_past_memory_name_r_max(self, method, monkeypatch):
+        # 10^10 + 1 orders fit the array limit but would take 80 GB; they are
+        # refused before a fit or a profile runs, with the text of dp's limit
+        for name in ("wasserstein_fit", "_ExactEngine", "_mc_profile"):
+            monkeypatch.setattr(pyp, name, must_not_run)
+        s = make_sketch([5, 3])
+        for kw in (dict(params=PriorParams(0.5, 1.0)), dict(fit="eb-wasserstein")):
+            for r_max in (10**10, dp._MAX_ORDERS):
+                with pytest.raises(DomainError, match="--r-max"):
+                    pyp.pyp_report(s, method=method, r_max=r_max, **kw)
+        # the default r_max is the largest count
+        with pytest.raises(DomainError, match="--r-max"):
+            pyp.pyp_report(make_sketch([10**10, 5]), params=PriorParams(0.5, 1.0), method=method,
+                           cap=None)
+
+    def test_mc_samples_past_ceiling_refused_before_the_fit(self, monkeypatch):
+        monkeypatch.setattr(pyp, "wasserstein_fit", must_not_run)
+        monkeypatch.setattr(pyp, "_mc_profile", must_not_run)
+        for kw in (dict(params=PriorParams(0.5, 1.0)), dict(fit="eb-wasserstein")):
+            with pytest.raises(DomainError, match="--mc-samples"):
+                pyp.pyp_report(make_sketch([5, 3]), method="mc", mc_samples=2**24 + 1, **kw)
 
     def test_exact_cap_checked_before_the_fit(self, monkeypatch):
         def fit_must_not_run(*args, **kwargs):
