@@ -1,9 +1,10 @@
 """The Monte Carlo path: accurate at small n, biased upward as n grows.
 
-Beyond the exact-mode cap the heavy-tail estimators fall back to averaging
-ratio statistics of simulated distinct-count chains.  Those statistics grow
-extremely skewed with n, so the ratio estimate acquires a positive bias that
-the second-order (Tin) correction mitigates but does not remove.  This demo
+Past the exact path's largest bucket count (2000) the heavy-tail estimators
+fall back to averaging ratio statistics of simulated distinct-count chains.
+Those statistics grow extremely skewed with n, so the ratio estimate acquires
+a positive bias that the second-order (Tin) correction mitigates but does not
+remove.  This demo
 makes that visible on one synthetic stream per sample size.
 """
 

@@ -5,10 +5,10 @@ coefficients over the Cartesian product of per-bucket latent block counts,
 which is astronomically large as written.  Every summand, however, is
 (s)_(t) * prod_j g_j(i_j) with t = |i|, s = theta/alpha, and (s)_(t) =
 E[X^t] for X ~ Gamma(s): the sum is the one-dimensional integral
-E[prod_j G_j(X)], G_j the polynomial of bucket j, over the U <= sqrt(2n)
-distinct counts.  Beyond the cap a Monte Carlo representation over
-distinct-count chains takes over (drawn per bucket under theta/J for a
-profile, under theta by ``pyp_coverage_mc``: see its docstring).
+E[prod_j G_j(X)], G_j the polynomial of bucket j, over the U <= min(sqrt(2n),
+c_max) distinct counts: the cost follows the largest count c_max, not n.  Past
+c_max = 2000 a Monte Carlo representation over distinct-count chains takes over
+(drawn per bucket under theta/J for a profile, under theta by ``pyp_coverage_mc``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .report import EstimateReport, FittedPrior
 from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
 
 __all__ = [
-    "DEFAULT_EXACT_CAP",
     "ExactCapError",
     "LogBlockWeights",
     "WassersteinFit",
@@ -50,14 +49,13 @@ __all__ = [
     "wasserstein_fit",
 ]
 
-DEFAULT_EXACT_CAP = 2000
-
+_EXACT_MAX_COUNT = 2000  # the coefficient triangle, row length and node count follow it
 _NODE_DENSITY = 3  # nodes per 1/sqrt(x*) of the exact engine's grid
 _PROFILE_CELLS = 1 << 20  # cells of one block of orders of an exact profile (8 MB)
 
 
 class ExactCapError(DomainError):
-    """The exact path refuses totals above its cap."""
+    """The exact path refuses a largest bucket count above 2000, whatever n."""
 
 
 @dataclass
@@ -74,24 +72,24 @@ class LogBlockWeights:
     table: GfcTable
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    if cap is not None and n > cap:
+def _check_max_count(c_max: int) -> None:
+    if c_max > _EXACT_MAX_COUNT:
         raise ExactCapError(
-            f"exact mode handles totals up to {cap}, got n={n}; "
-            "use the Monte Carlo estimator (pyp_coverage_mc) instead"
+            f"exact mode handles bucket counts up to {_EXACT_MAX_COUNT}, got a largest count "
+            f'of {c_max}; use the Monte Carlo profile instead (method="mc", CLI: --method mc)'
         )
 
 
-def block_weights(counts, alpha, width: int | None = None, cap: int = DEFAULT_EXACT_CAP) -> LogBlockWeights:
+def block_weights(counts, alpha, width: int | None = None) -> LogBlockWeights:
     """Build the row of each distinct occupied bucket count.
 
     counts are the bucket counts (empty buckets are neutral); width defaults
-    to len(counts) and fixes the 1/J^i attenuation.  Totals above the cap
-    raise ``ExactCapError`` pointing at the Monte Carlo path.
+    to len(counts) and fixes the 1/J^i attenuation.  A largest count above
+    2000 raises ``ExactCapError`` pointing at the Monte Carlo path.
     """
     counts = np.asarray(counts)
     values, mult = count_multiset(counts)
-    _check_cap(sum(c * m for c, m in zip(values.tolist(), mult.tolist())), cap)
+    _check_max_count(int(values.max(initial=0)))
     width = int(width) if width is not None else int(counts.size)
     values, mult = values[values > 0], mult[values > 0]
     table = GfcTable(float(alpha))
@@ -114,10 +112,10 @@ class _ExactEngine:
     sums on one grid in u = log X.
     """
 
-    def __init__(self, sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP):
+    def __init__(self, sketch: Sketch, params: PriorParams):
         params.require_estimable(need_alpha_positive=True)
         self.params, self.n, self.width = params, sketch.n, sketch.spec.width
-        self.weights = block_weights(sketch.counts, params.alpha, width=self.width, cap=cap)
+        self.weights = block_weights(sketch.counts, params.alpha, width=self.width)
         self.c_max = int(self.weights.values.max(initial=0))
         self.log_den, self.log_num_full, self.numerator = 0.0, 0.0, []  # an empty sketch: P = 1
         if self.c_max:
@@ -186,6 +184,11 @@ class _ExactEngine:
             raise DomainError(f"r must be >= 0, got {r_max}")
         theta, alpha, w = self.params.theta, self.params.alpha, self.weights
         top = min(int(r_max), self.c_max)
+        # the rows c - r of every r >= 1, stacked once and cut at the longest numerator
+        cols_max = max((num.size for num in self.numerator), default=0)
+        grid = np.full((self.c_max, cols_max), -np.inf)
+        for u, g in enumerate(grid):
+            g[: u + 1] = w.table.row(u)[: g.size]
         # (1 - alpha)_(r) from log-gamma: a cumsum drifts by 3e-10 over 6 000 orders
         log_pre = log_gamma(1.0 - alpha + np.arange(top + 1)) - log_gamma(1.0 - alpha)
         log_pre = math.log(theta / self.width) + log_pre - math.log(theta + self.n) - self.log_den
@@ -197,10 +200,7 @@ class _ExactEngine:
             for lo in range(1, min(c, top) + 1, per_block):
                 orders = np.arange(lo, min(c, top, lo + per_block - 1) + 1)
                 cols = min(c - lo + 1, num.size)  # row c - r has c - r + 1 entries
-                rows = np.full((orders.size, cols), -np.inf)
-                for row, r in zip(rows, orders.tolist()):
-                    g = w.table.row(c - r)[:cols]
-                    row[: g.size] = g
+                rows = grid[c - orders, :cols]
                 rows += num[:cols] - np.arange(cols) * math.log(self.width)
                 terms = _logsumexp(rows, axis=1) + math.log(m) + log_gamma(c + 1.0)
                 terms -= log_gamma(orders + 1.0) + log_gamma(c + 1.0 - orders)  # m C(c, r)
@@ -216,32 +216,28 @@ class _ExactEngine:
         return log_multinom - log_rising_factorial(self.params.theta, self.n) + self.log_den
 
 
-def pyp_loglik(sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP) -> float:
+def pyp_loglik(sketch: Sketch, params: PriorParams) -> float:
     """Exact log probability of the bucket counts under the prior."""
-    return _ExactEngine(sketch, params, cap=cap).loglik()
+    return _ExactEngine(sketch, params).loglik()
 
 
-def pyp_coverage_exact(
-    sketch: Sketch, params: PriorParams, r: int, cap: int = DEFAULT_EXACT_CAP
-) -> float:
+def pyp_coverage_exact(sketch: Sketch, params: PriorParams, r: int) -> float:
     """Exact estimated mass of symbols with frequency r: order r of the profile 0..r."""
-    r, engine = int(r), _ExactEngine(sketch, params, cap=cap)
+    r, engine = int(r), _ExactEngine(sketch, params)
     return float(np.exp(engine.log_profile(min(r, engine.c_max))[r])) if r <= engine.c_max else 0.0
 
 
-def pyp_freq_counts(
-    sketch: Sketch, params: PriorParams, r: int, cap: int = DEFAULT_EXACT_CAP
-) -> float:
+def pyp_freq_counts(sketch: Sketch, params: PriorParams, r: int) -> float:
     """Exact estimated number of distinct symbols with frequency r >= 1."""
     if int(r) < 1:
         raise DomainError(f"frequency order must be >= 1, got {r}")
-    p_r = pyp_coverage_exact(sketch, params, r, cap=cap)
+    p_r = pyp_coverage_exact(sketch, params, r)
     return (params.theta + sketch.n) / (int(r) - params.alpha) * p_r
 
 
-def pyp_distinct(sketch: Sketch, params: PriorParams, cap: int = DEFAULT_EXACT_CAP) -> float:
+def pyp_distinct(sketch: Sketch, params: PriorParams) -> float:
     """Exact estimated number of distinct symbols in the un-sketched stream."""
-    p0 = pyp_coverage_exact(sketch, params, 0, cap=cap)
+    p0 = pyp_coverage_exact(sketch, params, 0)
     return (params.theta + sketch.n) / params.alpha * p0 - params.theta / params.alpha
 
 
@@ -294,8 +290,10 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     c_max = int(values.max(initial=0))
     coverage = dict.fromkeys((int(r) for r in orders), 0.0)
     stderr = dict(coverage)
-    if min(coverage) > c_max:
-        return coverage, stderr, {}  # every order vanishes, and nothing is drawn
+    if min(coverage) > c_max or c_max == 0:  # every order r >= 1 vanishes, and nothing is drawn
+        if 0 in coverage:
+            coverage[0] = 1.0  # no occupied bucket: all of the mass is missing
+        return coverage, stderr, {}
     n, width = sketch.n, sketch.spec.width
     theta, alpha = params.theta, params.alpha
     rng = rng_from(seed)
@@ -655,26 +653,26 @@ def pyp_report(
     mc_samples: int = 100_000,
     debias: str = "tin",
     seed=0,
-    cap: int = DEFAULT_EXACT_CAP,
 ) -> EstimateReport:
     """Bundle fitting and estimation under the two-parameter prior.
 
     A Wasserstein fit may land on alpha = 0, where the two-parameter
     estimators degenerate; the report then falls back to the closed-form
     zero-discount estimators at the fitted theta (method tag "dp-exact").
-    r_max defaults to the largest bucket count.  The exact and Monte Carlo
-    profiles refuse more orders than the zero-discount one (2^24), and the
-    Monte Carlo profile more than 2^24 samples, before a fit or an allocation.
+    r_max defaults to the largest bucket count.  Before a fit or an allocation
+    both profiles refuse more orders than the zero-discount one (2^24), the exact
+    one a bucket count above 2000 and the Monte Carlo one over 2^24 samples.
     """
     t0 = time.perf_counter()
     if r_max is not None and r_max < 0:
         raise DomainError(f"r_max must be >= 0, got {r_max}")
     # refusals before a fit, which a refused sketch would waste
-    if method == "exact":
-        _check_cap(sketch.n, cap)
-    r_max = int(count_multiset(sketch.counts)[0][-1]) if r_max is None else int(r_max)
+    c_max = int(count_multiset(sketch.counts)[0][-1])
+    r_max = c_max if r_max is None else int(r_max)
     if method in ("exact", "mc"):
         _check_orders(r_max)
+    if method == "exact":
+        _check_max_count(c_max)
     if method == "mc":
         mc_samples = _check_mc_samples(mc_samples)
     if fit == "eb-wasserstein":
@@ -702,7 +700,7 @@ def pyp_report(
     diagnostics: dict = {}
 
     if method == "exact":
-        engine = _ExactEngine(sketch, params, cap=cap)
+        engine = _ExactEngine(sketch, params)
         coverage = dict(enumerate(np.exp(engine.log_profile(r_max)).tolist()))
         tag = "pyp-exact"
     elif method == "mc":

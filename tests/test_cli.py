@@ -128,13 +128,14 @@ class TestEstimateCommand:
 
     def test_exact_over_cap_exits_numeric_with_fallback_hint(self, tmp_path, capsys):
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
-        s = Sketch(spec, counts=np.array([2000, 1500], dtype=np.uint64), n=3500)
+        s = Sketch(spec, counts=np.array([2500, 10], dtype=np.uint64), n=2510)
         path = tmp_path / "big.sketch"
         sketch_save(s, path)
         code = run_cli("estimate", "--sketch", str(path), "--prior", "pyp",
                        "--alpha", "0.5", "--theta", "1", "--method", "exact")
         assert code == cli.EXIT_NUMERIC
-        assert "Monte Carlo" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Monte Carlo" in err and "--method mc" in err
 
     def test_over_cap_fit_exits_numeric_before_fitting(self, tmp_path, capsys, monkeypatch):
         def fit_must_not_run(*args, **kwargs):
@@ -143,7 +144,7 @@ class TestEstimateCommand:
         monkeypatch.setattr(pyp, "wasserstein_fit", fit_must_not_run)
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
         path = tmp_path / "big.sketch"
-        sketch_save(Sketch(spec, counts=np.array([2000, 1500], dtype=np.uint64), n=3500), path)
+        sketch_save(Sketch(spec, counts=np.array([2500, 10], dtype=np.uint64), n=2510), path)
         code = run_cli("estimate", "--sketch", str(path), "--prior", "pyp",
                        "--fit", "eb-wasserstein")
         assert code == cli.EXIT_NUMERIC

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ class TestBlockWeights:
 
     def test_cap(self):
         with pytest.raises(pyp.ExactCapError):
-            pyp.block_weights([1500, 1000], 0.5, width=2)
+            pyp.block_weights([2500, 10], 0.5, width=2)
 
 
 class TestGroupedEngine:
@@ -398,7 +399,11 @@ class TestQuadratureEngine:
         counts = sketch.counts.astype(np.int64).tolist()
         _, want, want_ll = convolution_oracle(counts, sketch.spec.width, alpha, theta)
         params = PriorParams(alpha, theta)
-        engine = pyp._ExactEngine(sketch, params, cap=None)
+        with pytest.MonkeyPatch.context() as mp:
+            # accuracy past the exact path's count limit: the drawn sketch of
+            # n = 8000 at alpha = 0.5, theta = 1 holds a count of 2023
+            mp.setattr(pyp, "_EXACT_MAX_COUNT", math.inf)
+            engine = pyp._ExactEngine(sketch, params)
         got = engine.log_profile(engine.c_max)
         assert np.array_equal(np.isfinite(got), np.isfinite(want))
         live = np.isfinite(want)
@@ -448,6 +453,29 @@ class TestQuadratureEngine:
         for (s, p), w in zip(sketches, want):
             got = pyp._ExactEngine(s, p).log_profile(int(s.counts.max()))
             assert np.max(np.abs(got - w)) < 1e-10
+
+    def test_report_at_n_8000_matches_oracle(self):
+        # c_max, not n, bounds the engine: a drawn sketch of n = 8000 runs as it is
+        s = Sketch(HashSpec.random(128, 81))
+        s.insert_ids(sample_pyp_sequence(PriorParams(0.5, 10.0), 8000, 80, with_weights=False).symbols)
+        rep = pyp.pyp_report(s, params=PriorParams(0.5, 10.0))
+        _, want, _ = convolution_oracle(s.counts.astype(np.int64).tolist(), 128, 0.5, 10.0)
+        with np.errstate(divide="ignore"):
+            got = np.log([rep.coverage[r] for r in range(want.size)])
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        live = np.isfinite(want)
+        assert np.max(np.abs(got[live] - want[live])) <= 1e-10
+
+    @pytest.mark.parametrize("counts,alpha,theta", [
+        pytest.param([2000], 0.95, 0.01, id="one-bucket"),
+        pytest.param(list(range(1, 301)), 0.5, 10.0, id="ladder"),
+    ])
+    def test_blocks_of_orders_do_not_change_the_profile(self, counts, alpha, theta, monkeypatch):
+        # 2^11 cells: one order per block of [2000], a few per block of the ladder
+        engine = pyp._ExactEngine(make_sketch(counts), PriorParams(alpha, theta))
+        want = engine.log_profile(max(counts))
+        monkeypatch.setattr(pyp, "_PROFILE_CELLS", 1 << 11)
+        assert np.array_equal(engine.log_profile(max(counts)), want)
 
     def test_order_is_read_from_the_profile_up_to_it(self):
         s = make_sketch([9, 4, 4, 1, 0], width=8)
@@ -552,7 +580,9 @@ class TestExactEstimators:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_exact_cap_names_fallback(self):
-        with pytest.raises(pyp.ExactCapError, match="Monte Carlo"):
+        want = ('exact mode handles bucket counts up to 2000, got a largest count of 3000; '
+                'use the Monte Carlo profile instead (method="mc", CLI: --method mc)')
+        with pytest.raises(pyp.ExactCapError, match=re.escape(want)):
             pyp.pyp_coverage_exact(make_sketch([3000]), PriorParams(0.5, 1.0), 0)
 
 
@@ -729,6 +759,19 @@ class TestMonteCarloProfile:
         back = type(rep).from_json(rep.to_json())
         assert back.diagnostics == d
 
+    def test_empty_sketch_matches_exact(self):
+        # nothing is drawn: the missing mass is exactly 1 and the generator is untouched
+        s = make_sketch([0] * 8)
+        params = PriorParams(0.5, 1.0)
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        mc = pyp.pyp_report(s, params=params, method="mc", mc_samples=1000, seed=rng)
+        exact = pyp.pyp_report(s, params=params)
+        assert rng.bit_generator.state == state
+        assert mc.coverage == exact.coverage == {0: 1.0}
+        assert mc.distinct == exact.distinct == 0.0
+        assert mc.freq_counts == exact.freq_counts
+
     def test_deterministic_reports_carry_no_diagnostics(self):
         s = make_sketch([4, 1, 0, 2, 1], width=8)
         rep = pyp.pyp_report(s, params=PriorParams(0.5, 2.0))
@@ -902,8 +945,7 @@ class TestReport:
                     pyp.pyp_report(s, method=method, r_max=r_max, **kw)
         # the default r_max is the largest count
         with pytest.raises(DomainError, match="--r-max"):
-            pyp.pyp_report(make_sketch([10**10, 5]), params=PriorParams(0.5, 1.0), method=method,
-                           cap=None)
+            pyp.pyp_report(make_sketch([10**10, 5]), params=PriorParams(0.5, 1.0), method=method)
 
     def test_mc_samples_past_ceiling_refused_before_the_fit(self, monkeypatch):
         monkeypatch.setattr(pyp, "wasserstein_fit", must_not_run)
@@ -912,10 +954,20 @@ class TestReport:
             with pytest.raises(DomainError, match="--mc-samples"):
                 pyp.pyp_report(make_sketch([5, 3]), method="mc", mc_samples=2**24 + 1, **kw)
 
+    def test_largest_count_limit_at_one_bucket(self, monkeypatch):
+        rep = pyp.pyp_report(make_sketch([2000]), params=PriorParams(0.5, 10.0))
+        assert abs(sum(rep.coverage.values()) - 1.0) < 1e-8
+        # refused from the count multiset, before the coefficient table is built
+        monkeypatch.setattr(pyp, "GfcTable", must_not_run)
+        with pytest.raises(pyp.ExactCapError, match="2001"):
+            pyp.pyp_report(make_sketch([2001]), params=PriorParams(0.5, 10.0))
+        with pytest.raises(pyp.ExactCapError, match="2001"):
+            pyp.pyp_loglik(make_sketch([2001]), PriorParams(0.5, 10.0))
+
     def test_exact_cap_checked_before_the_fit(self, monkeypatch):
         def fit_must_not_run(*args, **kwargs):
             raise AssertionError("the fit ran on an over-cap sketch")
 
         monkeypatch.setattr(pyp, "wasserstein_fit", fit_must_not_run)
         with pytest.raises(pyp.ExactCapError, match="Monte Carlo"):
-            pyp.pyp_report(make_sketch([1500, 1000]), fit="eb-wasserstein", method="exact")
+            pyp.pyp_report(make_sketch([2500, 10]), fit="eb-wasserstein", method="exact")
