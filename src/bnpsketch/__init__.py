@@ -27,7 +27,7 @@ _EXPORTS = {
                "true_coverage", "true_coverage_profile"),
     "pyp": ("ExactCapError", "LogBlockWeights", "block_weights", "pyp_coverage_exact",
             "pyp_coverage_mc", "pyp_distinct", "pyp_freq_counts", "pyp_loglik",
-            "pyp_missing_asymptotic", "pyp_report", "wasserstein_fit"),
+            "pyp_report", "wasserstein_fit"),
     "report": ("EstimateReport", "FittedPrior"),
     "sketch": ("HashSpec", "Sketch", "SketchFormatError", "hash_eval", "sketch_deserialize",
                "sketch_load", "sketch_merge", "sketch_save", "sketch_serialize"),

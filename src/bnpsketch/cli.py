@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--fit", choices=["none", "eb-mle", "eb-wasserstein"], default="none")
-    p.add_argument("--method", choices=["exact", "mc", "asymptotic"], default="exact")
+    p.add_argument("--method", choices=["exact", "mc"], default="exact")
     p.add_argument("--r-max", type=int, default=None)
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.add_argument("--debias", choices=["none", "tin"], default="tin")
@@ -149,7 +149,7 @@ def _report_to_csv(report: EstimateReport, fh) -> None:
         report.prior.provenance,
         report.prior.boundary_hit,
         report.method,
-        report.distinct if report.distinct is not None else "",
+        report.distinct,
     ]
     row += [report.coverage[r] for r in rs]
     row += [report.freq_counts[r] for r in sorted(report.freq_counts)]
@@ -164,7 +164,7 @@ def _cmd_estimate(args) -> int:
     sk = sketch_load(args.sketch)
     if args.prior == "dp":
         if args.method != "exact":
-            raise UsageError("--method mc/asymptotic applies to the pyp prior only")
+            raise UsageError("--method mc applies to the pyp prior only")
         if args.alpha not in (None, 0.0):
             raise UsageError("--alpha is a pyp-prior flag; the dp prior fixes alpha = 0")
         if args.fit == "eb-wasserstein":
@@ -189,8 +189,6 @@ def _cmd_estimate(args) -> int:
             if args.theta is None or args.alpha is None:
                 raise UsageError("--prior pyp --fit none requires --alpha and --theta")
             params = PriorParams(alpha=args.alpha, theta=args.theta)
-            if args.method == "asymptotic" and not params.alpha > 0:
-                raise UsageError("--method asymptotic requires alpha > 0")
         report = pyp.pyp_report(
             sk,
             params=params,

@@ -9,6 +9,9 @@ E[prod_j G_j(X)], G_j the polynomial of bucket j, over the U <= min(sqrt(2n),
 c_max) distinct counts: the cost follows the largest count c_max, not n.  Past
 c_max = 2000 a Monte Carlo representation over distinct-count chains takes over
 (drawn per bucket under theta/J for a profile, under theta by ``pyp_coverage_mc``).
+These are the only two methods: the closed-form power law derived under equal
+bucket fill misses the exact missing mass by a factor that grows with J, even
+under equal fill (2x at J = 4, 32x at J = 1024 for alpha = 0.5, theta = 1).
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "pyp_distinct",
     "pyp_freq_counts",
     "pyp_loglik",
-    "pyp_missing_asymptotic",
     "pyp_report",
     "sorted_count_distance",
     "wasserstein_fit",
@@ -130,11 +132,17 @@ class _ExactEngine:
         # Newton for the peak u = log(s + T), T = sum m E_k: E_k, Var_k moments of i ~ g_k[i] e^(iu)
         lo, hi = math.log(s + buckets), math.log(s + self.n)
         u = 0.5 * (lo + hi)
+        p, dev = np.empty_like(padded), np.empty_like(padded)  # U x (c_max + 1) each, reused
         for _ in range(200):
-            p = np.exp(padded + index * u - np.max(padded + index * u, axis=1, keepdims=True))
+            np.add(padded, index * u, out=p)
+            p -= np.max(p, axis=1, keepdims=True)
+            np.exp(p, out=p)
             p /= p.sum(axis=1, keepdims=True)
             mean = p @ index
-            var = np.sum(p * (index - mean[:, None]) ** 2, axis=1)
+            np.subtract(index, mean[:, None], out=dev)
+            np.square(dev, out=dev)
+            dev *= p
+            var = np.sum(dev, axis=1)
             total = s + float(mult @ mean)
             psi = math.log(total) - u
             lo, hi = (u, hi) if psi > 0.0 else (lo, u)
@@ -143,6 +151,7 @@ class _ExactEngine:
             if abs(step - u) <= 1e-14 * max(1.0, abs(u)):
                 break
             u = step
+        del p, dev
         # step 1/(3 sqrt(x*)); 14 widths right of the peak and left of that of the
         # numerator without a bucket of the largest E_k; rows cut at exp(-45)
         x, var_all, top = math.exp(u), float(mult @ var), int(np.argmax(mean))
@@ -267,6 +276,11 @@ def _check_mc_samples(num_samples) -> int:
     return num_samples
 
 
+def _check_debias(debias: str) -> None:
+    if debias not in ("none", "tin"):
+        raise DomainError(f"unknown debias mode {debias!r}")
+
+
 def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, seed, debias: str,
                 scale: float):
     """(coverage, stderr, diagnostics) at each of ``orders`` from one draw of the chains.
@@ -284,8 +298,7 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     """
     params.require_estimable(need_alpha_positive=True)
     num_samples = _check_mc_samples(num_samples)
-    if debias not in ("none", "tin"):
-        raise DomainError(f"unknown debias mode {debias!r}")
+    _check_debias(debias)
     values, _ = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
     c_max = int(values.max(initial=0))
     coverage = dict.fromkeys((int(r) for r in orders), 0.0)
@@ -481,28 +494,6 @@ def pyp_coverage_mc(
     return coverage[r], stderr[r]
 
 
-def pyp_missing_asymptotic(n: int, width: int, params: PriorParams) -> float:
-    """Power-law large-n approximation of the missing-mass estimate.
-
-    n^(alpha-1) * J^(1-alpha) * Gamma(theta + J*alpha - alpha + 1) /
-    Gamma(theta + J*alpha), derived under equal bucket fill; qualitative
-    only (no error bound), and restricted to alpha in (0, 1).
-    """
-    if not 0.0 < params.alpha < 1.0:
-        raise DomainError("the asymptotic approximation requires alpha in (0, 1)")
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    width = int(width)
-    alpha, theta = params.alpha, params.theta
-    log_const = (
-        (1.0 - alpha) * math.log(width)
-        + math.lgamma(theta + width * alpha - alpha + 1.0)
-        - math.lgamma(theta + width * alpha)
-    )
-    return math.exp((alpha - 1.0) * math.log(n) + log_const)
-
-
 def sorted_count_distance(counts_a, counts_b) -> float:
     """Mean absolute difference of sorted bucket counts (same width)."""
     a = np.sort(np.asarray(counts_a, dtype=float))
@@ -660,21 +651,25 @@ def pyp_report(
     estimators degenerate; the report then falls back to the closed-form
     zero-discount estimators at the fitted theta (method tag "dp-exact").
     r_max defaults to the largest bucket count.  Before a fit or an allocation
-    both profiles refuse more orders than the zero-discount one (2^24), the exact
-    one a bucket count above 2000 and the Monte Carlo one over 2^24 samples.
+    it refuses a method other than "exact" or "mc", and more orders than the
+    zero-discount profile (2^24); the exact profile then refuses a bucket count
+    above 2000, and the Monte Carlo one over 2^24 samples or a debias mode
+    other than "none" or "tin".
     """
     t0 = time.perf_counter()
+    if method not in ("exact", "mc"):
+        raise DomainError(f"unknown method {method!r}")
     if r_max is not None and r_max < 0:
         raise DomainError(f"r_max must be >= 0, got {r_max}")
     # refusals before a fit, which a refused sketch would waste
     c_max = int(count_multiset(sketch.counts)[0][-1])
     r_max = c_max if r_max is None else int(r_max)
-    if method in ("exact", "mc"):
-        _check_orders(r_max)
+    _check_orders(r_max)
     if method == "exact":
         _check_max_count(c_max)
-    if method == "mc":
+    else:
         mc_samples = _check_mc_samples(mc_samples)
+        _check_debias(debias)
     if fit == "eb-wasserstein":
         wf = wasserstein_fit(sketch, seed=seed)
         prior = wf.prior
@@ -695,26 +690,17 @@ def pyp_report(
 
     theta, alpha = params.theta, params.alpha
     n = sketch.n
-    coverage: dict[int, float] = {}
-    stderr: dict[int, float] | None = None
-    diagnostics: dict = {}
-
     if method == "exact":
         engine = _ExactEngine(sketch, params)
         coverage = dict(enumerate(np.exp(engine.log_profile(r_max)).tolist()))
-        tag = "pyp-exact"
-    elif method == "mc":
+        stderr, diagnostics, tag = None, {}, "pyp-exact"
+    else:
         coverage, stderr, diagnostics = _mc_profile(
             sketch, params, range(r_max + 1), mc_samples, seed, debias, theta / sketch.spec.width
         )
         tag = "pyp-mc"
-    elif method == "asymptotic":
-        coverage[0] = pyp_missing_asymptotic(n, sketch.spec.width, params)
-        tag = "pyp-asymptotic"
-    else:
-        raise DomainError(f"unknown method {method!r}")
     freq = {r: (theta + n) / (r - alpha) * c for r, c in coverage.items() if r >= 1}
-    distinct = None if method == "asymptotic" else (theta + n) / alpha * coverage[0] - theta / alpha
+    distinct = (theta + n) / alpha * coverage[0] - theta / alpha
 
     return EstimateReport(
         n=n,

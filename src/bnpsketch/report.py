@@ -62,7 +62,7 @@ class EstimateReport:
     method: str
     coverage: dict = field(default_factory=dict)
     freq_counts: dict = field(default_factory=dict)
-    distinct: float | None = 0.0
+    distinct: float = 0.0
     mc_stderr: dict | None = None
     diagnostics: dict = field(default_factory=dict)
     wall_time: float = 0.0

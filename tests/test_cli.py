@@ -125,6 +125,8 @@ class TestEstimateCommand:
                        "--fit", "eb-mle") == cli.EXIT_USAGE
         assert run_cli("estimate", "--sketch", str(sketch_file), "--prior", "pyp",
                        "--fit", "none", "--theta", "1") == cli.EXIT_USAGE
+        assert run_cli("estimate", "--sketch", str(sketch_file), "--prior", "pyp", "--alpha",
+                       "0.5", "--theta", "1", "--method", "asymptotic") == cli.EXIT_USAGE
 
     def test_exact_over_cap_exits_numeric_with_fallback_hint(self, tmp_path, capsys):
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
@@ -518,6 +520,24 @@ class TestBundledConfigs:
             cfg = ExperimentConfig.from_json_file(root / name)
             assert len(cfg.cells()) == cells, name
             assert cfg.repetitions >= 1
+
+
+class TestReadmeExamples:
+    def test_cli_lines_parse(self):
+        import pathlib
+        import re
+        import shlex
+
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                if line.startswith("bnpsketch "):
+                    commands.append(shlex.split(line, comments=True)[1:])
+        parser = cli._build_parser()
+        for argv in commands:
+            parser.parse_args(argv)  # an unknown flag or choice raises cli.UsageError
+        assert {argv[0] for argv in commands} == set(cli._COMMANDS)
 
 
 class TestEntryPoint:

@@ -780,43 +780,6 @@ class TestMonteCarloProfile:
         assert type(rep).from_dict(d).to_dict() == d
 
 
-class TestAsymptotic:
-    def test_constant_value(self):
-        params = PriorParams(0.5, 1.0)
-        const = 2.0 * math.gamma(3.5) / math.gamma(3.0)
-        got = pyp.pyp_missing_asymptotic(100, 4, params)
-        assert math.isclose(got, const / 10.0, rel_tol=1e-12)
-
-    def test_decreasing_in_n(self):
-        params = PriorParams(0.3, 2.0)
-        values = [pyp.pyp_missing_asymptotic(n, 8, params) for n in (10, 100, 1000)]
-        assert values[0] > values[1] > values[2]
-
-    def test_power_law_scaling(self):
-        params = PriorParams(0.3, 2.0)
-        ratio = pyp.pyp_missing_asymptotic(400, 8, params) / pyp.pyp_missing_asymptotic(
-            100, 8, params
-        )
-        assert math.isclose(ratio, 4.0 ** (0.3 - 1.0), rel_tol=1e-12)
-
-    def test_requires_positive_discount(self):
-        with pytest.raises(DomainError):
-            pyp.pyp_missing_asymptotic(100, 8, PriorParams(0.0, 1.0))
-
-    def test_exact_ratio_approaches_constant(self):
-        # equal buckets, growing n: n^(1-alpha) times the exact missing-mass
-        # estimate drifts toward the asymptotic constant
-        alpha, theta, width = 0.5, 1.0, 4
-        params = PriorParams(alpha, theta)
-        const = pyp.pyp_missing_asymptotic(1, width, params)
-        gaps = []
-        for n in (40, 100, 400):
-            s = make_sketch([n // width] * width, width=width)
-            ratio = n ** (1 - alpha) * pyp.pyp_coverage_exact(s, params, 0)
-            gaps.append(abs(ratio - const))
-        assert gaps[0] > gaps[1] > gaps[2]
-
-
 class TestWassersteinFit:
     def test_distance_to_self_is_zero(self):
         counts = np.array([4.0, 1.0, 0.0, 3.0])
@@ -921,13 +884,6 @@ class TestReport:
         assert rep.method == "pyp-mc"
         assert set(rep.mc_stderr) == {0, 1}
 
-    def test_asymptotic_report(self):
-        s = make_sketch([50, 50], width=2)
-        rep = pyp.pyp_report(s, params=PriorParams(0.5, 1.0), method="asymptotic", r_max=0)
-        assert rep.method == "pyp-asymptotic"
-        assert rep.distinct is None
-        assert 0.0 < rep.coverage[0] < 1.0
-
     def test_zero_discount_requires_dp_route(self):
         with pytest.raises(DomainError):
             pyp.pyp_report(make_sketch([2, 1]), params=PriorParams(0.0, 1.0))
@@ -953,6 +909,15 @@ class TestReport:
         for kw in (dict(params=PriorParams(0.5, 1.0)), dict(fit="eb-wasserstein")):
             with pytest.raises(DomainError, match="--mc-samples"):
                 pyp.pyp_report(make_sketch([5, 3]), method="mc", mc_samples=2**24 + 1, **kw)
+
+    @pytest.mark.parametrize("bad", [dict(method="bogus"), dict(method="asymptotic"),
+                                     dict(method="mc", debias="bogus")])
+    def test_unknown_method_or_debias_refused_before_the_fit(self, bad, monkeypatch):
+        for name in ("wasserstein_fit", "_ExactEngine", "_mc_profile"):
+            monkeypatch.setattr(pyp, name, must_not_run)
+        for kw in (dict(params=PriorParams(0.5, 1.0)), dict(fit="eb-wasserstein")):
+            with pytest.raises(DomainError, match="unknown"):
+                pyp.pyp_report(make_sketch([5, 3]), **bad, **kw)
 
     def test_largest_count_limit_at_one_bucket(self, monkeypatch):
         rep = pyp.pyp_report(make_sketch([2000]), params=PriorParams(0.5, 10.0))
