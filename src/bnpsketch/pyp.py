@@ -201,6 +201,7 @@ class _ExactEngine:
         # (1 - alpha)_(r) from log-gamma: a cumsum drifts by 3e-10 over 6 000 orders
         log_pre = log_gamma(1.0 - alpha + np.arange(top + 1)) - log_gamma(1.0 - alpha)
         log_pre = math.log(theta / self.width) + log_pre - math.log(theta + self.n) - self.log_den
+        log_fact = log_gamma(np.arange(self.c_max + 1) + 1.0)  # log u!, read as a table
         out = np.full(int(r_max) + 1, -np.inf)
         # at r = 0 every bucket keeps its row: the full numerator, J times
         out[0] = log_pre[0] + math.log(self.width) + self.log_num_full
@@ -211,8 +212,8 @@ class _ExactEngine:
                 cols = min(c - lo + 1, num.size)  # row c - r has c - r + 1 entries
                 rows = grid[c - orders, :cols]
                 rows += num[:cols] - np.arange(cols) * math.log(self.width)
-                terms = _logsumexp(rows, axis=1) + math.log(m) + log_gamma(c + 1.0)
-                terms -= log_gamma(orders + 1.0) + log_gamma(c + 1.0 - orders)  # m C(c, r)
+                terms = _logsumexp(rows, axis=1) + math.log(m) + log_fact[c]
+                terms -= log_fact[orders] + log_fact[c - orders]  # m C(c, r)
                 out[orders] = np.logaddexp(out[orders], terms)
         out[1 : top + 1] += log_pre[1:]
         return out
@@ -251,15 +252,15 @@ def pyp_distinct(sketch: Sketch, params: PriorParams) -> float:
 
 
 def _shifted_moments(log_x: np.ndarray):
-    """(shift, mean of exp(log_x - shift)); robust to -inf entries."""
+    """(shift, exp(log_x - shift), its mean); robust to -inf entries."""
     shift = float(np.max(log_x))
-    if shift == -np.inf:
-        return 0.0, 0.0
-    return shift, float(np.mean(np.exp(log_x - shift)))
+    shift = 0.0 if shift == -np.inf else shift
+    shifted = np.exp(log_x - shift)
+    return shift, shifted, float(np.mean(shifted))
 
 
-# Working set of one block of orders of the Monte Carlo profile: orders x
-# samples cells of one float64 sum and one small-int chain read, about 9 MB.
+# Working set of one block of orders of the Monte Carlo profile: orders x samples
+# cells of one float64 sum (8 MB), and at most as many bytes of kept chain values.
 _MC_CELLS = 1 << 20
 _MAX_MC_SAMPLES = 1 << 24  # samples of one profile, at most: 128 MB per float64 array
 
@@ -289,12 +290,12 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     order, from one generator.  A count-1 bucket's chain is K_1 = 1 and draws
     nothing, so such buckets are never walked: pass 1 adds their constant to
     Z' in bucket order, and their order-1 terms, all equal, enter pass 2 once
-    with weight m_1.  Pass 1 walks every other bucket to depth c for Z'; pass
-    2 replays it from the state saved in pass 1, reads depth c - r for a
-    block of orders (``_MC_CELLS``) and sums w_j Z_j per order, the scale
-    entering as (scale)_(c-r)/(scale)_(c) and the lookup (scale/alpha)_(K).
-    The Tin correction is linear in Z_j, so it and the SE are applied to the
-    sum.  Diagnostics: Kish's ESS (sum w)^2/sum w^2, largest share max w/sum w.
+    with weight m_1.  Pass 1 walks every other bucket once, to depth c for Z',
+    keeping K_c and the first block's depths c - r >= 2 within its bytes
+    (``_MC_CELLS``); pass 2 sums w_j Z_j per order, the scale entering as
+    (scale)_(c-r)/(scale)_(c) and the lookup (scale/alpha)_(K), and replays a
+    bucket only for a depth not kept.  The Tin correction is linear in Z_j, so
+    it and the SE go on the sum.  Diagnostics: Kish's ESS, top weight share, chain steps.
     """
     params.require_estimable(need_alpha_positive=True)
     num_samples = _check_mc_samples(num_samples)
@@ -326,7 +327,25 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     log_pre = log_rising_factorial_prefix(1.0 - alpha, max(c_max, 1))
     log_pre = math.log(theta / width) + log_pre - math.log(theta + n)
 
-    states = []
+    live = sorted(r for r in coverage if 0 < r <= c_max)
+    per_block = max(1, _MC_CELLS // num_samples)
+    small = np.min_scalar_type(c_max)  # chain values lie in 0..c_max, K_c included
+    want = [[c] + [c - r for r in live[:per_block] if r <= c - 2] for c in walked]  # K_0, K_1 known
+    fits = np.cumsum([len(d) for d in want]) * (num_samples * small.itemsize) <= 8 * _MC_CELLS
+    keep = [d if f and live else [] for d, f in zip(want, fits)]  # the first buckets that fit
+
+    def walk(c, depths):
+        """Walk one bucket's chains to depth c: K_c, and {i: K_i} at ``depths`` >= 2 as small ints."""
+        nonlocal steps
+        steps += c - 1  # K_1 draws nothing
+        reads = {}
+        for i, k in distinct_chain(c, chain, num_samples, rng):
+            if i >= 2 and i in depths:
+                reads[i] = k.astype(small)
+        return k, reads
+
+    sums = np.empty((min(len(live), per_block), num_samples))  # made first, not amid the walks' arrays
+    states, kept, steps = [], [], 0
     t_total = np.full(num_samples, ones, dtype=np.int64)
     s_total = np.zeros(num_samples)
     for c in occ_counts:
@@ -334,8 +353,8 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
             s_total += log_rf_chain[1]
             continue
         states.append(rng.bit_generator.state)
-        for _, k_c in distinct_chain(c, chain, num_samples, rng):
-            pass
+        k_c, reads = walk(c, keep[len(kept)])
+        kept.append(reads)
         t_total += k_c
         s_total += log_rf_chain[k_c]
     end_state = rng.bit_generator.state
@@ -359,28 +378,28 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
 
     if 0 in coverage:  # every bucket keeps depth c_s: all J ratios coincide, with weight 1
         log_agg = log_f_num[t_total] - s_total
-        num_shift, num_mean = _shifted_moments(log_agg)
+        num_shift, num_sh, num_mean = _shifted_moments(log_agg)
         value = math.exp(num_shift - den_shift) * num_mean / den_mean
         if tin:
-            cov = float(np.cov(np.exp(log_agg - num_shift), zden, ddof=1)[0, 1])
+            cov = float(np.cov(num_sh, zden, ddof=1)[0, 1])
             value *= 1.0 + (
                 cov / (num_samples * num_mean * den_mean)
                 - var_den / (num_samples * den_mean**2)
             )
         coverage[0] = math.exp(float(log_pre[0])) * (value * width)
         # delta-method SE of mean(A)/mean(B) from the residuals A_i - R*B_i (no cancellation)
-        log_agg = math.log(width) + log_agg
-        agg_shift, agg_mean = _shifted_moments(log_agg)
-        agg_sh = np.exp(log_agg - agg_shift)
+        log_agg += math.log(width)
+        agg_shift, agg_sh, agg_mean = _shifted_moments(log_agg)
         var_resid = float(np.var(agg_sh - agg_mean / den_mean * zden, ddof=1))
         stderr[0] = (math.exp(float(log_pre[0]) + agg_shift - den_shift)
                      * math.sqrt(var_resid / num_samples) / den_mean)
         diagnostics["ess"][0], diagnostics["max_weight_share"][0] = kish(agg_sh)
-        del log_agg, agg_sh  # not held through pass 2
+        del log_agg, num_sh, agg_sh  # not held through pass 2
 
     # orders >= 1 are finished from their linear sums: the covariance and the
     # SE residual of mean(A)/mean(B) are dot products with the centred Z'
     zden -= den_mean
+    (idx, t_rest), (s_rest, lookup, term) = np.empty((2, num_samples), np.int64), np.empty((3, num_samples))
 
     def finish(r, log_scale, lin_row):
         total = float(np.sum(lin_row))
@@ -394,7 +413,7 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
                 - var_den / (num_samples * den_mean**2)
             )
         coverage[r] = value
-        resid = lin_row - (mean / den_mean) * zden
+        resid = np.subtract(lin_row, np.multiply(zden, mean / den_mean, out=term), out=term)
         resid -= np.mean(resid)
         var_resid = float(np.dot(resid, resid)) / (num_samples - 1)
         stderr[r] = factor * math.sqrt(var_resid / num_samples)
@@ -403,52 +422,53 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
 
     def add_term(row, logw, idx, log_chain):
         """lin[row] += exp(logw + log_f_num[idx] - log_chain - shift[row])."""
-        term = log_f_num.take(idx, mode="clip")
-        term -= log_chain
-        term += logw
+        np.take(log_f_num, idx, out=term, mode="clip")
+        np.subtract(term, log_chain, out=term)
+        np.add(term, logw, out=term)
         top = float(np.max(term))
         if top > shift[row]:
             lin[row] *= math.exp(shift[row] - top)
             shift[row] = top
-        term -= shift[row]
+        np.subtract(term, shift[row], out=term)
         lin[row] += np.exp(term, out=term)
 
-    def add_bucket(c, k_c, rows):
-        """The terms of one walked bucket, from its final chains k_c and its reads."""
-        t_rest, s_rest = t_total - k_c, s_total - log_rf_chain[k_c]
-        idx, lookup = np.empty_like(t_rest), np.empty(num_samples)
-        for i, row in rows.items():
-            logw = math.lgamma(c + 1) - math.lgamma(c - i + 1) - math.lgamma(i + 1)
-            logw = logw + log_scale_rf[i] - log_scale_rf[c]
-            np.copyto(idx, reads[row])  # an int64 index gathers ~4x faster than a small-int one
-            np.take(log_rf_chain, idx, out=lookup, mode="clip")  # "raise" would buffer the output
-            lookup += s_rest
-            idx += t_rest
-            add_term(row, logw, idx, lookup)
-
-    live = sorted(r for r in coverage if 0 < r <= c_max)
-    per_block = max(1, _MC_CELLS // num_samples)
     for lo in range(0, len(live), per_block):
         block = live[lo : lo + per_block]
-        # sum_j w_j Z_j of each order is exp(shift) * lin
         shift = np.full(len(block), -np.inf)
-        lin = np.zeros((len(block), num_samples))
-        reads = np.empty(lin.shape, dtype=np.min_scalar_type(-c_max))  # chain values are <= c_max
+        lin = sums[: len(block)]  # sum_j w_j Z_j of each order is exp(shift) * lin
+        lin.fill(0.0)
         if ones and block[0] == 1:  # every count-1 bucket reads K_0 = 0 at order 1: one term
-            add_term(0, math.log(ones) - float(log_scale_rf[1]), t_total - 1, s_total - log_rf_chain[1])
-        for c, state in zip(walked, states):
+            add_term(0, math.log(ones) - float(log_scale_rf[1]),
+                     np.subtract(t_total, 1, out=idx), np.subtract(s_total, log_rf_chain[1], out=lookup))
+        for c, state, reads in zip(walked, states, kept):
             rows = {c - r: row for row, r in enumerate(block) if r <= c}  # depth -> row
             if not rows:
                 continue
-            rng.bit_generator.state = state
-            for i, k_c in distinct_chain(c, chain, num_samples, rng):
-                if i in rows:
-                    reads[rows[i]] = k_c
-            add_bucket(c, k_c, rows)
+            k_c = reads.get(c)
+            if k_c is None or not reads.keys() >= {i for i in rows if i >= 2}:  # not kept: replay
+                rng.bit_generator.state = state
+                k_c, reads = walk(c, rows)
+            np.copyto(idx, k_c)  # a small-int index would be converted in a temporary
+            np.take(log_rf_chain, idx, out=lookup, mode="clip")
+            np.subtract(s_total, lookup, out=s_rest)
+            np.subtract(t_total, idx, out=t_rest)
+            for i, row in rows.items():
+                logw = math.lgamma(c + 1) - math.lgamma(c - i + 1) - math.lgamma(i + 1)
+                logw = logw + log_scale_rf[i] - log_scale_rf[c]
+                if i < 2:  # K_0 = 0 and K_1 = 1: nothing to gather
+                    np.add(s_rest, log_rf_chain[i], out=lookup)
+                    np.add(t_rest, i, out=idx)
+                else:
+                    np.copyto(idx, reads[i])  # an int64 index gathers ~4x faster than a small-int one
+                    np.take(log_rf_chain, idx, out=lookup, mode="clip")  # "raise" would buffer the output
+                    np.add(lookup, s_rest, out=lookup)
+                    np.add(idx, t_rest, out=idx)
+                add_term(row, logw, idx, lookup)
         rng.bit_generator.state = end_state
         # the prefactor goes into the sum: (1-alpha)_(r) passes 1e308 from r ~ 170
         for r, row_shift, row in zip(block, shift, lin):
             finish(r, row_shift + log_pre[r], row)
+    diagnostics["chain_steps"] = steps
     return coverage, stderr, diagnostics
 
 

@@ -292,6 +292,18 @@ def per_order_mc_reference(sketch, params, r, num_samples, seed, debias="tin"):
     return math.exp(log_prefactor) * total, stderr
 
 
+def count_walks(monkeypatch) -> list:
+    """The counts of the chains ``pyp`` walks from now on, one entry per walk."""
+    walked = []
+
+    def counting_chain(c, params, size, rng):
+        walked.append(c)
+        return distinct_chain(c, params, size, rng)
+
+    monkeypatch.setattr(pyp, "distinct_chain", counting_chain)
+    return walked
+
+
 def must_not_run(*args, **kwargs):
     raise AssertionError("ran past a refusal")
 
@@ -720,30 +732,81 @@ class TestMonteCarloProfile:
 
     @pytest.mark.parametrize("cells", [1, 2 * 1000])
     def test_blocks_of_orders_do_not_change_the_profile(self, cells, monkeypatch):
-        # cells = 1 gives one order per block, 2000 two orders per block
+        # cells = 1 gives one order per block and keeps nothing of pass 1, so
+        # every block replays; 2000 gives two orders per block, the first kept
         s = make_sketch([7, 1, 0, 3, 5, 2, 1, 4], width=16)
         kw = dict(params=PriorParams(0.5, 3.0), method="mc", mc_samples=1000, seed=5)
         want = pyp.pyp_report(s, **kw).to_dict()
         monkeypatch.setattr(pyp, "_MC_CELLS", cells)
+        walked = count_walks(monkeypatch)
         got = pyp.pyp_report(s, **kw).to_dict()
         del want["wall_time"], got["wall_time"]
+        # the work counter is the one key that moves: it counts the replays
+        assert want["diagnostics"].pop("chain_steps") == 6 + 2 + 4 + 1 + 3
+        assert got["diagnostics"].pop("chain_steps") == sum(c - 1 for c in walked) > 16
         assert got == want
 
     def test_count_one_buckets_are_never_walked(self, monkeypatch):
         # a count-1 bucket's chain is K_1 = 1: its constant and its order-1
-        # term need no walk; pass 1 walks each other bucket once and pass 2
-        # (one block of orders) replays it once
-        walked = []
-
-        def counting_chain(c, params, size, rng):
-            walked.append(c)
-            return distinct_chain(c, params, size, rng)
-
-        monkeypatch.setattr(pyp, "distinct_chain", counting_chain)
+        # term need no walk; pass 1 walks each other bucket once, and pass 2
+        # reads what pass 1 kept, so nothing is replayed
+        walked = count_walks(monkeypatch)
         s = make_sketch([1, 3, 1, 1, 2, 0, 1, 1], width=8)
         rep = pyp.pyp_report(s, params=PriorParams(0.5, 2.0), method="mc", mc_samples=500, seed=4)
-        assert sorted(walked) == [2, 2, 3, 3]
+        assert sorted(walked) == [2, 3]
+        assert rep.diagnostics["chain_steps"] == 2 + 1
         assert rep.coverage[1] > 0.0 and rep.mc_stderr[1] > 0.0
+
+    @pytest.mark.parametrize("cells", [1, 1000, 2000])
+    def test_replays_equal_the_one_walk_profile(self, cells, monkeypatch):
+        # a lower budget keeps less of pass 1: nothing (1); K_c and the reads of
+        # a one-order first block, but not for the last bucket, which no longer
+        # fits (1000); a first block of two orders (2000).  Later blocks replay
+        # the buckets whose depths >= 2 were not kept
+        s = make_sketch([12, 1, 0, 9, 2, 30, 1, 4], width=16)
+
+        def profile():
+            gen = np.random.default_rng(17)
+            cov, se, diag = pyp._mc_profile(s, PriorParams(0.5, 3.0), range(32), 1000, gen, "tin", 3.0 / 16)
+            return cov, se, diag, gen.bit_generator.state
+
+        walked = count_walks(monkeypatch)
+        cov, se, diag, state = profile()
+        assert sorted(walked) == [2, 4, 9, 12, 30] and diag["chain_steps"] == 52
+        walked.clear()
+        monkeypatch.setattr(pyp, "_MC_CELLS", cells)
+        cov_r, se_r, diag_r, state_r = profile()
+        assert walked[:5] == [12, 9, 2, 30, 4] and len(walked) > 5
+        assert diag_r.pop("chain_steps") == sum(c - 1 for c in walked)
+        del diag["chain_steps"]
+        assert list(cov) == list(cov_r) == list(range(32))
+        assert np.array_equal(list(cov.values()), list(cov_r.values()))
+        assert np.array_equal(list(se.values()), list(se_r.values()))
+        for key, value in diag.items():
+            want = list(value.values()) if isinstance(value, dict) else value
+            got = list(diag_r[key].values()) if isinstance(value, dict) else diag_r[key]
+            assert np.array_equal(got, want), key
+        assert state_r == state
+
+    @pytest.mark.parametrize("c_max", [127, 128, 129, 255, 256, 32767, 32768])
+    def test_kept_chain_values_at_small_int_limits(self, c_max, monkeypatch):
+        # pass 1 keeps K_c, which can equal c_max, in the smallest integer type
+        # that holds c_max: at theta/J = 5e11 almost every chain ends at c_max.
+        # A type too small wraps K_c, and the kept path would then part from
+        # the replay path, which reads K_c from the walk itself
+        s = make_sketch([c_max, 3], width=2)
+        params = PriorParams(0.5, 1e12)
+        for _, k in distinct_chain(c_max, PriorParams(0.5, 5e11), 100, np.random.default_rng(c_max)):
+            pass
+        assert (k == c_max).any()
+        kw = dict(params=params, method="mc", mc_samples=100, r_max=2, seed=c_max)
+        want = pyp.pyp_report(s, **kw).to_dict()
+        monkeypatch.setattr(pyp, "_MC_CELLS", 1)  # keeps nothing: each block replays
+        got = pyp.pyp_report(s, **kw).to_dict()
+        del want["wall_time"], got["wall_time"]
+        assert want["diagnostics"].pop("chain_steps") == c_max - 1 + 2
+        assert got["diagnostics"].pop("chain_steps") == 3 * (c_max - 1) + 3 * 2
+        assert got == want
 
     def test_trust_measures(self):
         s = make_sketch([4, 1, 0, 2, 1], width=8)
@@ -755,6 +818,7 @@ class TestMonteCarloProfile:
             assert 1.0 <= d["ess"][r] <= 2000.0
             assert 1.0 / 2000 <= d["max_weight_share"][r] <= 1.0
         assert 1.0 <= d["den_ess"] <= 2000.0
+        assert d["chain_steps"] == 3 + 1  # one walk each of the counts 4 and 2
         assert rep.coverage[5] == rep.coverage[6] == 0.0
         back = type(rep).from_json(rep.to_json())
         assert back.diagnostics == d
