@@ -25,9 +25,8 @@ _EXPORTS = {
                "log_rising_factorial", "logsumexp", "stirling_signless"),
     "oracle": ("PartitionStats", "good_turing_coverage", "partition_stats", "raw_bnp_coverage",
                "true_coverage", "true_coverage_profile"),
-    "pyp": ("ExactCapError", "LogBlockWeights", "block_weights", "pyp_coverage_exact",
-            "pyp_coverage_mc", "pyp_distinct", "pyp_freq_counts", "pyp_loglik",
-            "pyp_report", "wasserstein_fit"),
+    "pyp": ("ExactCapError", "block_weights", "pyp_coverage_exact", "pyp_coverage_mc",
+            "pyp_distinct", "pyp_freq_counts", "pyp_loglik", "pyp_report", "wasserstein_fit"),
     "report": ("EstimateReport", "FittedPrior"),
     "sketch": ("HashSpec", "Sketch", "SketchFormatError", "hash_eval", "sketch_deserialize",
                "sketch_load", "sketch_merge", "sketch_save", "sketch_serialize"),

@@ -38,7 +38,6 @@ from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
 
 __all__ = [
     "ExactCapError",
-    "LogBlockWeights",
     "WassersteinFit",
     "block_weights",
     "pyp_coverage_exact",

@@ -47,6 +47,7 @@ MAX_WIDTH = 1 << 24
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)  # an id >= 10^k has > k digits
 _TOKEN_BATCH = 1 << 16  # tokens hashed per lockstep batch in insert_tokens
 _SCALAR_LANES = 32  # unfinished tokens below which one numpy step costs more than Python
 
@@ -206,19 +207,17 @@ def prehash_bytes(token: bytes, symbol_seed: int) -> int:
     return _fmix64(_fnv1a((_FNV_OFFSET ^ (symbol_seed & _MASK64)) & _MASK64, token))
 
 
-def prehash_tokens(tokens, symbol_seed: int) -> np.ndarray:
-    """``prehash_bytes`` of every token of a list, in lockstep.
+def _prehash_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, symbol_seed: int):
+    """``prehash_bytes`` of every span ``buf[starts[i] : starts[i] + lengths[i]]``, in lockstep.
 
-    One numpy step per byte position runs FNV-1a over all tokens still
+    One numpy step per byte position runs FNV-1a over all spans still
     unfinished; sorted longest first, those are a prefix.  Once at most
     ``_SCALAR_LANES`` remain, they finish byte by byte, so the numpy steps
-    number at most total bytes / ``_SCALAR_LANES`` however long one token is.
+    number at most total bytes / ``_SCALAR_LANES`` however long one span is.
     """
-    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     order = np.argsort(-lengths, kind="stable")
     lens = lengths[order]
-    pos = (np.cumsum(lengths) - lengths)[order]
-    buf = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    pos = starts[order]
     h = np.full(lens.size, _FNV_OFFSET ^ (symbol_seed & _MASK64), dtype=np.uint64)
     steps = int(lens[_SCALAR_LANES]) if lens.size > _SCALAR_LANES else 0
     active = lens.size - np.searchsorted(lens[::-1], np.arange(steps), side="right")
@@ -229,10 +228,17 @@ def prehash_tokens(tokens, symbol_seed: int) -> np.ndarray:
         live *= prime
         pos[:m] += 1
     for i in np.flatnonzero(lens > steps).tolist():
-        h[i] = _fnv1a(int(h[i]), tokens[order[i]][steps:])
+        h[i] = _fnv1a(int(h[i]), buf[pos[i] : pos[i] + lens[i] - steps].tobytes())
     out = np.empty_like(h)
     out[order] = h
     return _fmix64_u64(out)
+
+
+def prehash_tokens(tokens, symbol_seed: int) -> np.ndarray:
+    """``prehash_bytes`` of every token of a list (``_prehash_spans`` over their join)."""
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    buf = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    return _prehash_spans(buf, np.cumsum(lengths) - lengths, lengths, symbol_seed)
 
 
 def prehash_u64(ids, symbol_seed: int) -> np.ndarray:
@@ -240,35 +246,22 @@ def prehash_u64(ids, symbol_seed: int) -> np.ndarray:
 
     Hashes the ASCII decimal rendering of each id, byte for byte identical to
     ``prehash_bytes(str(id).encode(), seed)``, so the fast integer path and
-    the token-stream path land in the same buckets.
+    the token-stream path land in the same buckets: each id is written as
+    right-aligned digits into one row of a byte matrix, and its digits are
+    the span ``_prehash_spans`` hashes.
     """
     ids = np.asarray(ids, dtype=np.uint64)
-    if ids.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    n_digits = np.ones(ids.shape, dtype=np.int64)
-    scale = np.full(ids.shape, 10, dtype=np.uint64)
-    while True:
-        more = ids >= scale
-        if not more.any():
-            break
-        n_digits[more] += 1
-        # cap at uint64 range: 20 digits
-        if n_digits.max() >= 20:
-            break
-        scale = np.where(more, scale * np.uint64(10), scale)
-    max_digits = int(n_digits.max())
-    h = np.full(ids.shape, _FNV_OFFSET ^ (symbol_seed & _MASK64), dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    zero_char = np.uint64(ord("0"))
-    for pos in range(max_digits):
-        # digit at position pos (most significant first), rows long enough only
-        active = n_digits > pos
-        power = (n_digits - 1 - pos).clip(min=0).astype(np.uint64)
-        div = np.power(np.uint64(10), power)
-        digit = (ids // div) % np.uint64(10)
-        updated = (h ^ (digit + zero_char)) * prime
-        h = np.where(active, updated, h)
-    return _fmix64_u64(h)
+    n_digits = np.searchsorted(_POW10, ids, side="right") + 1
+    width = int(n_digits.max(initial=1))
+    digits = np.empty((ids.size, width), dtype=np.uint8)
+    rest, ten = ids, np.uint64(10)
+    for col in range(width - 1, -1, -1):  # one division a column; the digit is rest - 10 * quot
+        quot = rest // ten
+        digits[:, col] = rest - quot * ten
+        rest = quot
+    digits += ord("0")
+    starts = np.arange(ids.size) * width + width - n_digits
+    return _prehash_spans(digits.reshape(-1), starts, n_digits, symbol_seed)
 
 
 def _fold61(y: np.ndarray) -> np.ndarray:
@@ -395,9 +388,13 @@ class Sketch:
     def insert_ids(self, ids) -> None:
         """Bulk-insert nonnegative integer ids via the vectorized hash path.
 
-        Identical buckets to inserting each id's decimal string.
+        Identical buckets to inserting each id's decimal string.  Input that
+        is not 1-D, of a non-integer dtype (float, bool, object) or negative
+        raises ValueError before any count changes; empty input inserts nothing.
         """
         ids = np.asarray(ids)
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise ValueError(f"ids must be a 1-D integer array, got {ids.dtype} of shape {ids.shape}")
         if (ids < 0).any():
             raise ValueError("ids must be nonnegative")
         self._add_prehashed(prehash_u64(ids, self.spec.symbol_seed))

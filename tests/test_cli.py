@@ -1,6 +1,8 @@
 """Command-line surface: tokenizers, flag validation, exit codes, artifacts."""
 
 import json
+import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -13,6 +15,8 @@ from bnpsketch.experiment import ExperimentConfig, csv_header, experiment_csv
 from bnpsketch.report import EstimateReport
 from bnpsketch.sketch import HashSpec, Sketch, crc32c, sketch_load, sketch_save, sketch_serialize
 from bnpsketch.tokenizers import make_tokenizer
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -502,9 +506,7 @@ class TestExperimentCommand:
 
 class TestBundledConfigs:
     def test_all_parse_and_size_correctly(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
+        root = ROOT / "demos" / "configs"
         expected_cells = {
             "smoke.json": 1,
             "missing_mass_dp.json": 9,
@@ -521,14 +523,24 @@ class TestBundledConfigs:
             assert len(cfg.cells()) == cells, name
             assert cfg.repetitions >= 1
 
+    @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))
+    def test_demo_runs(self, demo, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "demos" / demo)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestReadmeExamples:
     def test_cli_lines_parse(self):
-        import pathlib
         import re
         import shlex
 
-        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         commands = []
         for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
             for line in block.replace("\\\n", " ").splitlines():

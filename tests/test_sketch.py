@@ -82,6 +82,7 @@ class TestPrehash:
                 rng.integers(0, 10, 64).astype(np.uint64),
                 rng.integers(0, 2**62, 64).astype(np.uint64),
                 np.array([0, 9, 10, 99, 100, 10**19, 2**64 - 1], dtype=np.uint64),
+                np.array([v for k in range(20) for v in (10**k - 1, 10**k)], dtype=np.uint64),
             ]
         )
         seed = 0xDEADBEEFCAFEF00D
@@ -182,6 +183,22 @@ class TestSketchCounts:
         for i in ids:
             s2.insert(str(int(i)).encode())
         assert s1 == s2
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[1.5], [1.0], np.array([1.7]), [True], [[1, 2]], np.array(3), [2**64], [-1]],
+        ids=["float", "integral-float", "float-array", "bool", "2-d", "0-d", "object", "negative"],
+    )
+    def test_insert_ids_refuses_non_integer_input(self, ids):
+        s = sk.Sketch(sk.HashSpec.random(16, 1))
+        s.insert_ids([4, 5])
+        before = s.copy()
+        with pytest.raises(ValueError):
+            s.insert_ids(ids)
+        assert s == before
+        s.insert_ids([])
+        s.insert_ids(np.array([], dtype=np.uint64))
+        assert s == before
 
     @given(st.lists(st.integers(0, 50), max_size=200))
     @settings(max_examples=50, deadline=None)
