@@ -313,7 +313,7 @@ def _cmd_experiment(args) -> int:
 
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: bad experiment config: {exc}", file=sys.stderr)
         return EXIT_DATA
     out = args.output or cfg.output

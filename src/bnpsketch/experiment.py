@@ -11,6 +11,7 @@ execution order and reruns are byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import dp, oracle, pyp
-from .genmodel import PriorParams, sample_pyp_sequence, sample_zipf_sequence
+from .genmodel import PriorParams, RawSample, sample_pyp_sequence, sample_zipf_sequence
 from .sketch import HashSpec, Sketch, buckets_u64, prehash_tokens
 
 __all__ = ["ExperimentConfig", "csv_header", "run_experiment", "write_csv"]
@@ -40,8 +41,19 @@ _BASE_COLUMNS = [
     "k_hat",
 ]
 _TAIL_COLUMNS = ["method", "mc_stderr", "wall_time"]
-# the estimator keys that _run_cell reads
-_ESTIMATOR_KEYS = {"prior", "fit", "r_max", "theta", "alpha", "method", "mc_samples", "debias"}
+# per prior: the estimator keys that _run_cell reads, and the fit modes, default first
+_PRIORS = {
+    "dp": ({"prior", "fit", "r_max", "theta"}, ("eb-mle", "none")),
+    "pyp": (
+        {"prior", "fit", "r_max", "theta", "alpha", "method", "mc_samples", "debias"},
+        ("none", "eb-wasserstein"),
+    ),
+}
+# the prior parameters each generating model hands to a fit="none" estimator
+_MODEL_PARAMS = {"dp": {"theta"}, "pyp": {"alpha", "theta"}}
+# config fields cast on load; the others keep their JSON values
+_INT_FIELDS = ("width", "repetitions", "seed", "vocab", "r_report", "workers")
+_FLOAT_LIST_FIELDS = ("theta", "alpha", "exponent")
 
 
 @dataclass
@@ -73,25 +85,14 @@ class ExperimentConfig:
         for key in ("model", "n", "width", "repetitions", "seed", "estimator"):
             if key not in d:
                 raise ValueError(f"config is missing required key {key!r}")
-        cfg = cls(
-            model=d["model"],
-            n_schedule=[int(x) for x in d["n"]],
-            width=int(d["width"]),
-            repetitions=int(d["repetitions"]),
-            seed=int(d["seed"]),
-            estimator=dict(d["estimator"]),
-            theta=[float(x) for x in d["theta"]] if "theta" in d else None,
-            alpha=[float(x) for x in d["alpha"]] if "alpha" in d else None,
-            exponent=[float(x) for x in d["exponent"]] if "exponent" in d else None,
-            vocab=int(d.get("vocab", 0)),
-            path=d.get("path"),
-            tokenizer=d.get("tokenizer", "lines"),
-            sampler=d.get("sampler", "sticks"),
-            r_report=int(d.get("r_report", 5)),
-            timing=bool(d.get("timing", False)),
-            workers=int(d.get("workers", 1)),
-            output=d.get("output"),
-        )
+        kw = {"n_schedule" if k == "n" else k: v for k, v in d.items()}
+        kw["n_schedule"] = [int(x) for x in kw["n_schedule"]]
+        kw["estimator"] = dict(kw["estimator"])
+        for k in kw.keys() & _INT_FIELDS:
+            kw[k] = int(kw[k])
+        for k in kw.keys() & _FLOAT_LIST_FIELDS:
+            kw[k] = [float(x) for x in kw[k]]
+        cfg = cls(**kw)
         cfg.validate()
         return cfg
 
@@ -122,10 +123,20 @@ class ExperimentConfig:
         if self.r_report < 0:
             raise ValueError("r_report must be >= 0")
         est = self.estimator
-        if set(est) - _ESTIMATOR_KEYS or est.get("prior", "dp") not in ("dp", "pyp"):
-            raise ValueError(
-                f"estimator {est} needs prior dp or pyp and keys among {sorted(_ESTIMATOR_KEYS)}"
-            )
+        prior = est.get("prior", "dp")
+        if prior not in list(_PRIORS):  # a list, not the dict: JSON may give a list
+            raise ValueError(f"estimator prior must be dp or pyp, not {prior!r}")
+        keys, fits = _PRIORS[prior]
+        extra = set(est) - keys
+        if extra:
+            raise ValueError(f"prior {prior!r} does not read estimator keys {sorted(extra)}")
+        fit = est.get("fit", fits[0])
+        if fit not in fits:
+            raise ValueError(f"prior {prior!r} fits by {' or '.join(fits)}, not {fit!r}")
+        given = {k for k, v in est.items() if v is not None}
+        missing = keys & {"alpha", "theta"} - given - _MODEL_PARAMS.get(self.model, set())
+        if fit == "none" and missing:
+            raise ValueError(f"fit 'none' on a {self.model} model needs estimator {sorted(missing)}")
 
     def cells(self) -> list:
         """Grid cells: (model label, generator params, n)."""
@@ -157,6 +168,7 @@ def csv_header(r_report: int) -> list:
     return cols
 
 
+@functools.lru_cache(maxsize=None)
 def _load_file_weights(path, tokenizer_spec):
     """Empirical distribution of a token file, treated as the true law."""
     from .tokenizers import make_tokenizer
@@ -173,13 +185,16 @@ def _load_file_weights(path, tokenizer_spec):
     return tokens, counts / counts.sum()
 
 
-_FILE_CACHE: dict = {}
-
-
 def _file_sketch(spec: HashSpec, tokens: list, idx: np.ndarray) -> Sketch:
     """Sketch of the draws ``tokens[i] for i in idx``: each token hashed once, the draws counted at once."""
     j = buckets_u64(prehash_tokens(tokens, spec.symbol_seed), spec.a, spec.b, spec.width)
     return Sketch(spec, counts=np.bincount(j[idx], minlength=spec.width), n=len(idx))
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def _run_cell(args):
@@ -188,88 +203,43 @@ def _run_cell(args):
     ss = np.random.SeedSequence(cfg.seed, spawn_key=(cell_idx, rep))
     s_data, s_hash, s_est = ss.spawn(3)
     seed_id = int(ss.generate_state(1, dtype=np.uint64)[0])
-
     spec = HashSpec.random(cfg.width, s_hash)
-    sketch = Sketch(spec)
-    truth_cov = None
-    k_true = None
 
     t0 = time.perf_counter()
-    if cfg.model in ("dp", "pyp"):
-        params = PriorParams(alpha=gparams["alpha"], theta=gparams["theta"])
-        with_weights = cfg.sampler == "sticks"
-        sample = sample_pyp_sequence(params, n, s_data, with_weights=with_weights)
-        sketch.insert_ids(sample.symbols)
-        stats = oracle.partition_stats(sample)
-        k_true = stats.k
-        if with_weights:
-            truth_cov = oracle.true_coverage_profile(sample, cfg.r_report)
-        alpha_true, theta_true = gparams["alpha"], gparams["theta"]
-    elif cfg.model == "zipf":
-        sample = sample_zipf_sequence(gparams["exponent"], gparams["vocab"], n, s_data)
-        sketch.insert_ids(sample.symbols)
-        stats = oracle.partition_stats(sample)
-        k_true = stats.k
-        truth_cov = oracle.true_coverage_profile(sample, cfg.r_report)
-        alpha_true = theta_true = None
-    else:
-        key = (cfg.path, cfg.tokenizer)
-        if key not in _FILE_CACHE:
-            _FILE_CACHE[key] = _load_file_weights(cfg.path, cfg.tokenizer)
-        tokens, weights = _FILE_CACHE[key]
-        rng = np.random.default_rng(s_data)
-        idx = rng.choice(len(tokens), size=n, p=weights)
-        from .genmodel import RawSample
-
-        sample = RawSample(
-            symbols=np.asarray(idx, dtype=np.int64),
-            atom_ids=np.arange(len(tokens), dtype=np.int64),
-            atom_weights=weights,
-        )
+    if cfg.model == "file":
+        tokens, weights = _load_file_weights(cfg.path, cfg.tokenizer)
+        idx = np.random.default_rng(s_data).choice(len(tokens), size=n, p=weights)
+        sample = RawSample(idx.astype(np.int64), np.arange(len(tokens), dtype=np.int64), weights)
         sketch = _file_sketch(spec, tokens, idx)
-        stats = oracle.partition_stats(sample)
-        k_true = stats.k
-        truth_cov = oracle.true_coverage_profile(sample, cfg.r_report)
-        alpha_true = theta_true = None
-
-    est = dict(cfg.estimator)
-    prior_kind = est.get("prior", "dp")
-    fit = est.get("fit", "eb-mle" if prior_kind == "dp" else "none")
-    r_max = est.get("r_max")
-    if r_max is None:
-        r_max = max(cfg.r_report, 0)
-    if prior_kind == "dp":
-        theta0 = est.get("theta")
-        if fit == "none" and theta0 is None:
-            theta0 = theta_true
-            if theta0 is None:
-                raise ValueError(
-                    "estimator fit='none' needs an explicit theta when the "
-                    "generating model has no scale parameter"
-                )
-        report = dp.dp_report(sketch, theta=theta0, fit=fit, r_max=r_max)
     else:
-        method = est.get("method", "exact")
-        alpha0 = est.get("alpha")
-        theta0 = est.get("theta")
-        if fit == "none":
-            if alpha0 is None:
-                alpha0 = alpha_true
-            if theta0 is None:
-                theta0 = theta_true
-            if alpha0 is None or theta0 is None:
-                raise ValueError(
-                    "estimator fit='none' needs explicit alpha and theta when "
-                    "the generating model has no prior parameters"
-                )
-            params0 = PriorParams(alpha=float(alpha0), theta=float(theta0))
+        if cfg.model == "zipf":
+            sample = sample_zipf_sequence(gparams["exponent"], gparams["vocab"], n, s_data)
         else:
-            params0 = None
+            sticks = cfg.sampler == "sticks"
+            sample = sample_pyp_sequence(PriorParams(**gparams), n, s_data, with_weights=sticks)
+        sketch = Sketch(spec)
+        sketch.insert_ids(sample.symbols)
+    truth = [None] * (cfg.r_report + 1)
+    if sample.has_weights:
+        truth = oracle.true_coverage_profile(sample, cfg.r_report).tolist()
+    k_true = oracle.partition_stats(sample).k
+
+    est = cfg.estimator
+    prior = est.get("prior", "dp")
+    fit = est.get("fit", _PRIORS[prior][1][0])
+    r_max = est.get("r_max")
+    r_max = cfg.r_report if r_max is None else r_max
+    # a prior parameter the estimator leaves out comes from the generating model;
+    # validate() has checked that fit="none" gets both
+    alpha, theta = (gparams.get(k) if est.get(k) is None else est[k] for k in ("alpha", "theta"))
+    if prior == "dp":
+        report = dp.dp_report(sketch, theta=theta, fit=fit, r_max=r_max)
+    else:
         report = pyp.pyp_report(
             sketch,
-            params=params0,
+            params=PriorParams(alpha=float(alpha), theta=float(theta)) if fit == "none" else None,
             fit=fit,
-            method=method,
+            method=est.get("method", "exact"),
             r_max=r_max,
             mc_samples=int(est.get("mc_samples", 100_000)),
             debias=est.get("debias", "tin"),
@@ -277,35 +247,16 @@ def _run_cell(args):
         )
     wall = time.perf_counter() - t0
 
-    def fmt(x):
-        if x is None:
-            return ""
-        if isinstance(x, float):
-            return repr(x)
-        return str(x)
-
     row = [
-        label,
-        fmt(alpha_true),
-        fmt(theta_true),
-        str(n),
-        str(cfg.width),
-        str(rep),
-        str(seed_id),
-        fmt(float(truth_cov[0]) if truth_cov is not None else None),
-        fmt(report.coverage.get(0)),
-        fmt(report.prior.theta),
-        fmt(report.prior.alpha),
-        fmt(k_true),
-        fmt(report.distinct),
+        label, gparams.get("alpha"), gparams.get("theta"), n, cfg.width, rep, seed_id,
+        truth[0], report.coverage.get(0), report.prior.theta, report.prior.alpha,
+        k_true, report.distinct,
     ]
     for r in range(1, cfg.r_report + 1):
-        row.append(fmt(float(truth_cov[r]) if truth_cov is not None else None))
-        row.append(fmt(report.coverage.get(r)))
-    row.append(report.method)
-    row.append(fmt(report.mc_stderr.get(0) if report.mc_stderr else None))
-    row.append(fmt(wall) if cfg.timing else "")
-    return cell_idx, rep, row
+        row += [truth[r], report.coverage.get(r)]
+    stderr = report.mc_stderr.get(0) if report.mc_stderr else None
+    row += [report.method, stderr, wall if cfg.timing else None]
+    return cell_idx, rep, [_fmt(x) for x in row]
 
 
 def run_experiment(cfg: ExperimentConfig):

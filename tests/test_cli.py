@@ -1,5 +1,7 @@
 """Command-line surface: tokenizers, flag validation, exit codes, artifacts."""
 
+import csv
+import io
 import json
 import os
 import pathlib
@@ -24,8 +26,6 @@ def run_cli(*argv):
 
 
 def tokens_of(spec, data: bytes):
-    import io
-
     return list(make_tokenizer(spec)(io.BytesIO(data)))
 
 
@@ -429,11 +429,28 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
         cfg.write_text(json.dumps(dict(self.SMOKE, n=[10, 5])))
         assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
+        # values of the wrong JSON type: a bare n, a non-object estimator, a null model list
+        for bad in ({"n": 10}, {"estimator": 5}, {"theta": None}):
+            cfg.write_text(json.dumps(dict(self.SMOKE, **bad)))
+            assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
 
     def test_bad_estimator_keys_are_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        for estimator in ({"prior": "pyp", "metod": "mc"}, {"prior": "Dp"}, {"prior": "mc"}):
-            cfg.write_text(json.dumps(dict(self.SMOKE, estimator=estimator)))
+        zipf = dict(self.SMOKE, model="zipf", exponent=[1.2], vocab=50)
+        configs = [dict(self.SMOKE, estimator=estimator) for estimator in (
+            {"prior": "pyp", "metod": "mc"}, {"prior": "Dp"}, {"prior": "mc"},
+            # keys the dp prior never reads, fit modes the prior lacks, fit 'none' without
+            # the alpha that a dp model cannot supply, an unhashable prior
+            {"prior": "dp", "method": "mc"}, {"prior": "dp", "alpha": 0.5},
+            {"prior": "dp", "debias": "bogus"}, {"prior": "dp", "mc_samples": 5},
+            {"prior": "pyp", "fit": "eb-mle"}, {"prior": "dp", "fit": "eb-wasserstein"},
+            {"prior": "dp", "fit": None}, {"prior": "pyp", "fit": "none"}, {"prior": ["dp"]},
+        )]
+        # a zipf model has no alpha or theta to hand to fit 'none'
+        configs += [dict(zipf, estimator={"prior": "dp", "fit": "none"}),
+                    dict(zipf, estimator={"prior": "pyp", "theta": 1.0})]
+        for config in configs:
+            cfg.write_text(json.dumps(config))
             with pytest.raises(ValueError):
                 ExperimentConfig.from_json_file(cfg)
             assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
@@ -449,10 +466,13 @@ class TestExperimentCommand:
                 ExperimentConfig.from_dict(dict(self.SMOKE, **{key: value}))
 
     def test_workers_match_serial(self, tmp_path):
-        base = dict(self.SMOKE, n=[5, 10], repetitions=2)
-        serial = experiment_csv(ExperimentConfig.from_dict(base))
-        parallel = experiment_csv(ExperimentConfig.from_dict(dict(base, workers=2)))
-        assert serial == parallel
+        pyp_mc = {"model": "pyp", "alpha": [0.5],
+                  "estimator": {"prior": "pyp", "method": "mc", "mc_samples": 200}}
+        for extra in ({}, pyp_mc):
+            base = dict(self.SMOKE, n=[5, 10], repetitions=2, **extra)
+            serial = experiment_csv(ExperimentConfig.from_dict(base))
+            parallel = experiment_csv(ExperimentConfig.from_dict(dict(base, workers=2)))
+            assert serial == parallel
 
     def _file_config(self, tmp_path):
         data = tmp_path / "tokens.txt"
@@ -522,6 +542,20 @@ class TestBundledConfigs:
             cfg = ExperimentConfig.from_json_file(root / name)
             assert len(cfg.cells()) == cells, name
             assert cfg.repetitions >= 1
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "demos" / "configs").glob("*.json")))
+    def test_runs_at_reduced_size(self, name):
+        d = json.loads((ROOT / "demos" / "configs" / name).read_text())
+        d.pop("output", None)
+        d.update(n=d["n"][:1], repetitions=1)
+        if "mc_samples" in d["estimator"]:
+            d["estimator"]["mc_samples"] = min(d["estimator"]["mc_samples"], 1000)
+        cfg = ExperimentConfig.from_dict(d)
+        header, *rows = csv.reader(io.StringIO(experiment_csv(cfg)))
+        assert header == csv_header(cfg.r_report)
+        assert len(rows) == len(cfg.cells())
+        for row in rows:
+            assert 0.0 <= float(row[header.index("est_missing_mass")]) <= 1.0
 
     @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))
     def test_demo_runs(self, demo, tmp_path):
