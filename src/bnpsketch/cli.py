@@ -16,7 +16,8 @@ import numpy as np
 
 from . import dp
 from .numkit import DomainError
-from .report import EstimateReport
+from .report import (CHOICES, PRIORS, SPEC_KEYS, EstimateReport, SpecError, check_estimator,
+                     estimate, given)
 from .sketch import (
     HashSpec,
     Sketch,
@@ -58,18 +59,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--dictionary", default=None, help="optional word list filter")
     p.add_argument("--output", required=True, help="sketch file to write")
 
+    # an estimator flag left unset is not given: the estimator table fills its default
     p = sub.add_parser("estimate", help="estimate coverage masses from a sketch")
     p.add_argument("--sketch", required=True)
-    p.add_argument("--prior", choices=["dp", "pyp"], required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--fit", choices=["none", "eb-mle", "eb-wasserstein"], default="none")
-    p.add_argument("--method", choices=["exact", "mc"], default="exact")
-    p.add_argument("--r-max", type=int, default=None)
-    p.add_argument("--mc-samples", type=int, default=100_000)
-    p.add_argument("--debias", choices=["none", "tin"], default="tin")
+    p.add_argument("--prior", choices=list(PRIORS), required=True)
+    p.add_argument("--theta", type=float)
+    p.add_argument("--alpha", type=float)
+    fits = dict.fromkeys(fit for prior_fits, _, _ in PRIORS.values() for fit in prior_fits)
+    p.add_argument("--fit", choices=list(fits), default="none")
+    p.add_argument("--method", choices=CHOICES["method"])
+    p.add_argument("--r-max", type=int)
+    p.add_argument("--mc-samples", type=int)
+    p.add_argument("--debias", choices=CHOICES["debias"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--theta-bounds", type=float, nargs=2, default=list(dp.DEFAULT_THETA_BOUNDS))
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default="-")
 
@@ -91,8 +93,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit prior parameters from a sketch")
     p.add_argument("--sketch", required=True)
-    p.add_argument("--fit", choices=["eb-mle", "eb-wasserstein"], default="eb-mle")
-    p.add_argument("--theta-bounds", type=float, nargs=2, default=list(dp.DEFAULT_THETA_BOUNDS))
+    p.add_argument("--fit", choices=[fit for fit in fits if fit != "none"], default="eb-mle")
     p.add_argument("--num-reps", type=int, default=5)
     p.add_argument("--n-sim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -161,44 +162,8 @@ def _report_to_csv(report: EstimateReport, fh) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    sk = sketch_load(args.sketch)
-    if args.prior == "dp":
-        if args.method != "exact":
-            raise UsageError("--method mc applies to the pyp prior only")
-        if args.alpha not in (None, 0.0):
-            raise UsageError("--alpha is a pyp-prior flag; the dp prior fixes alpha = 0")
-        if args.fit == "eb-wasserstein":
-            raise UsageError("eb-wasserstein fits the pyp prior; use eb-mle for dp")
-        if args.fit == "none" and args.theta is None:
-            raise UsageError("--prior dp --fit none requires --theta")
-        report = dp.dp_report(
-            sk,
-            theta=args.theta,
-            fit=args.fit,
-            r_max=args.r_max,
-            theta_bounds=tuple(args.theta_bounds),
-        )
-    else:
-        from . import pyp
-        from .genmodel import PriorParams
-
-        if args.fit == "eb-mle":
-            raise UsageError("eb-mle fits the dp prior; use eb-wasserstein for pyp")
-        params = None
-        if args.fit == "none":
-            if args.theta is None or args.alpha is None:
-                raise UsageError("--prior pyp --fit none requires --alpha and --theta")
-            params = PriorParams(alpha=args.alpha, theta=args.theta)
-        report = pyp.pyp_report(
-            sk,
-            params=params,
-            fit=args.fit,
-            method=args.method,
-            r_max=args.r_max,
-            mc_samples=args.mc_samples,
-            debias=args.debias,
-            seed=args.seed,
-        )
+    spec = check_estimator(given(**{k: getattr(args, k) for k in SPEC_KEYS}))
+    report = estimate(sketch_load(args.sketch), spec, seed=args.seed)
     fh, close = _open_out(args.output)
     try:
         if args.format == "json":
@@ -269,7 +234,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     sk = sketch_load(args.sketch)
     if args.fit == "eb-mle":
-        theta, boundary = dp.dp_fit_theta(sk, bounds=tuple(args.theta_bounds))
+        theta, boundary = dp.dp_fit_theta(sk)
         print(json.dumps({"fit": "eb-mle", "theta": theta, "boundary_hit": boundary}))
         return EXIT_OK
     from . import pyp
@@ -342,7 +307,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, SpecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SketchFormatError as exc:

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .numkit import DomainError, digamma, log_gamma
-from .report import EstimateReport, FittedPrior
+from .report import EstimateReport, FittedPrior, check_estimator, check_value, given
 from .sketch import Sketch, count_multiset
 
 __all__ = [
@@ -47,13 +47,6 @@ def _check_orders(r_max: int) -> None:
             f"r_max = {r_max} asks for more than {_MAX_ORDERS} coverage orders; "
             "pass a smaller r_max (CLI: --r-max)"
         )
-
-
-def _check_theta(theta) -> float:
-    theta = float(theta)
-    if theta <= 0.0:
-        raise DomainError(f"theta must be > 0, got {theta}")
-    return theta
 
 
 # The private evaluators below read the count multiset (vals, mult) from
@@ -127,7 +120,7 @@ def dp_loglik(sketch: Sketch, theta) -> float:
 
     log multinomial coefficient - log (theta)_(n) + sum_j log (theta/J)_(c_j).
     """
-    theta = _check_theta(theta)
+    theta = check_value("theta", theta)
     vals, mult = count_multiset(sketch.counts)
     return _loglik_fn(vals, mult, sketch.n, sketch.spec.width)(theta)
 
@@ -187,7 +180,7 @@ def dp_coverage(sketch: Sketch, theta, r: int) -> float:
     profile 0..r, so it costs sum over counts of min(c, r), not O(U), and
     equals ``dp_report``'s order r bit for bit.
     """
-    theta = _check_theta(theta)
+    theta = check_value("theta", theta)
     r = int(r)
     vals, mult = count_multiset(sketch.counts)
     # the profile stops at the largest count: a larger r reads zero
@@ -197,7 +190,7 @@ def dp_coverage(sketch: Sketch, theta, r: int) -> float:
 
 def dp_coverage_profile(sketch: Sketch, theta, r_max: int) -> np.ndarray:
     """Coverage estimates for every order r = 0..r_max."""
-    theta = _check_theta(theta)
+    theta = check_value("theta", theta)
     vals, mult = count_multiset(sketch.counts)
     return _coverage(vals, mult, sketch.n, sketch.spec.width, theta, int(r_max))
 
@@ -207,7 +200,7 @@ def dp_freq_counts(sketch: Sketch, theta, r: int) -> float:
     r = int(r)
     if r < 1:
         raise DomainError(f"frequency order must be >= 1, got {r}")
-    return (_check_theta(theta) + sketch.n) / r * dp_coverage(sketch, theta, r)
+    return (check_value("theta", theta) + sketch.n) / r * dp_coverage(sketch, theta, r)
 
 
 def dp_distinct(sketch: Sketch, theta) -> float:
@@ -219,7 +212,7 @@ def dp_distinct(sketch: Sketch, theta) -> float:
     positive (the textbook form with negated arguments has spurious poles at
     integer z although the difference is finite).
     """
-    theta = _check_theta(theta)
+    theta = check_value("theta", theta)
     vals, mult = count_multiset(sketch.counts)
     return _distinct(vals, mult, sketch.spec.width, theta)
 
@@ -230,7 +223,7 @@ def dp_distinct_digamma_literal(sketch: Sketch, theta) -> float:
     Equal to ``dp_distinct`` wherever theta/J is not an integer; kept only as
     an independent cross-check of the harmonic form.
     """
-    theta = _check_theta(theta)
+    theta = check_value("theta", theta)
     z = theta / sketch.spec.width
     total = -theta * digamma(1.0 - z)
     for c in np.asarray(sketch.counts, dtype=np.int64):
@@ -243,7 +236,6 @@ def dp_report(
     theta=None,
     fit: str = "none",
     r_max: int | None = None,
-    theta_bounds=DEFAULT_THETA_BOUNDS,
 ) -> EstimateReport:
     """Bundle fitting, coverage, frequency counts and the distinct count.
 
@@ -253,22 +245,15 @@ def dp_report(
     orders are refused before anything is allocated.
     """
     t0 = time.perf_counter()
-    if r_max is not None and r_max < 0:
-        raise DomainError(f"r_max must be >= 0, got {r_max}")
-    boundary = False
-    if fit == "eb-mle":
-        theta_hat, boundary = dp_fit_theta(sketch, bounds=theta_bounds)
+    spec = check_estimator({"prior": "dp", "fit": fit, **given(theta=theta, r_max=r_max)})
+    if spec["fit"] == "eb-mle":
+        theta_hat, boundary = dp_fit_theta(sketch)
         provenance = "eb-mle"
-    elif fit == "none":
-        if theta is None:
-            raise DomainError("fit='none' requires an explicit theta")
-        theta_hat = _check_theta(theta)
-        provenance = "given"
     else:
-        raise DomainError(f"unknown fit mode {fit!r} for the zero-discount prior")
+        theta_hat, boundary, provenance = spec["theta"], False, "given"
     vals, mult = count_multiset(sketch.counts)
     n, width = sketch.n, sketch.spec.width
-    r_max = int(vals[-1]) if r_max is None else int(r_max)
+    r_max = int(vals[-1]) if spec["r_max"] is None else spec["r_max"]
     coverage = dict(enumerate(_coverage(vals, mult, n, width, theta_hat, r_max).tolist()))
     freq = {r: float((theta_hat + n) / r * coverage[r]) for r in range(1, r_max + 1)}
     report = EstimateReport(

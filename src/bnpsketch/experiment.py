@@ -19,8 +19,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import dp, oracle, pyp
+from . import oracle
 from .genmodel import PriorParams, RawSample, sample_pyp_sequence, sample_zipf_sequence
+from .report import check_estimator, estimate, json_number
 from .sketch import HashSpec, Sketch, buckets_u64, prehash_tokens
 
 __all__ = ["ExperimentConfig", "csv_header", "run_experiment", "write_csv"]
@@ -41,17 +42,8 @@ _BASE_COLUMNS = [
     "k_hat",
 ]
 _TAIL_COLUMNS = ["method", "mc_stderr", "wall_time"]
-# per prior: the estimator keys that _run_cell reads, and the fit modes, default first
-_PRIORS = {
-    "dp": ({"prior", "fit", "r_max", "theta"}, ("eb-mle", "none")),
-    "pyp": (
-        {"prior", "fit", "r_max", "theta", "alpha", "method", "mc_samples", "debias"},
-        ("none", "eb-wasserstein"),
-    ),
-}
-# the prior parameters each generating model hands to a fit="none" estimator
-_MODEL_PARAMS = {"dp": {"theta"}, "pyp": {"alpha", "theta"}}
-# config fields cast on load; the others keep their JSON values
+# config fields of JSON integers, and of lists of JSON numbers; a bool or a
+# float (even 16.0) where an integer is read is refused, not cast
 _INT_FIELDS = ("width", "repetitions", "seed", "vocab", "r_report", "workers")
 _FLOAT_LIST_FIELDS = ("theta", "alpha", "exponent")
 
@@ -86,12 +78,12 @@ class ExperimentConfig:
             if key not in d:
                 raise ValueError(f"config is missing required key {key!r}")
         kw = {"n_schedule" if k == "n" else k: v for k, v in d.items()}
-        kw["n_schedule"] = [int(x) for x in kw["n_schedule"]]
+        kw["n_schedule"] = [json_number("n", x, int) for x in kw["n_schedule"]]
         kw["estimator"] = dict(kw["estimator"])
         for k in kw.keys() & _INT_FIELDS:
-            kw[k] = int(kw[k])
+            kw[k] = json_number(k, kw[k], int)
         for k in kw.keys() & _FLOAT_LIST_FIELDS:
-            kw[k] = [float(x) for x in kw[k]]
+            kw[k] = [json_number(k, x, float) for x in kw[k]]
         cfg = cls(**kw)
         cfg.validate()
         return cfg
@@ -122,21 +114,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.r_report < 0:
             raise ValueError("r_report must be >= 0")
-        est = self.estimator
-        prior = est.get("prior", "dp")
-        if prior not in list(_PRIORS):  # a list, not the dict: JSON may give a list
-            raise ValueError(f"estimator prior must be dp or pyp, not {prior!r}")
-        keys, fits = _PRIORS[prior]
-        extra = set(est) - keys
-        if extra:
-            raise ValueError(f"prior {prior!r} does not read estimator keys {sorted(extra)}")
-        fit = est.get("fit", fits[0])
-        if fit not in fits:
-            raise ValueError(f"prior {prior!r} fits by {' or '.join(fits)}, not {fit!r}")
-        given = {k for k, v in est.items() if v is not None}
-        missing = keys & {"alpha", "theta"} - given - _MODEL_PARAMS.get(self.model, set())
-        if fit == "none" and missing:
-            raise ValueError(f"fit 'none' on a {self.model} model needs estimator {sorted(missing)}")
+        for _, gparams, _ in self.cells():
+            self._estimator_spec(gparams)
+
+    def _estimator_spec(self, gparams: dict) -> dict:
+        """A cell's checked estimator spec: r_max defaults to r_report, fit "none" reads gparams."""
+        return check_estimator({"r_max": self.r_report, **self.estimator}, gparams)
 
     def cells(self) -> list:
         """Grid cells: (model label, generator params, n)."""
@@ -224,27 +207,7 @@ def _run_cell(args):
         truth = oracle.true_coverage_profile(sample, cfg.r_report).tolist()
     k_true = oracle.partition_stats(sample).k
 
-    est = cfg.estimator
-    prior = est.get("prior", "dp")
-    fit = est.get("fit", _PRIORS[prior][1][0])
-    r_max = est.get("r_max")
-    r_max = cfg.r_report if r_max is None else r_max
-    # a prior parameter the estimator leaves out comes from the generating model;
-    # validate() has checked that fit="none" gets both
-    alpha, theta = (gparams.get(k) if est.get(k) is None else est[k] for k in ("alpha", "theta"))
-    if prior == "dp":
-        report = dp.dp_report(sketch, theta=theta, fit=fit, r_max=r_max)
-    else:
-        report = pyp.pyp_report(
-            sketch,
-            params=PriorParams(alpha=float(alpha), theta=float(theta)) if fit == "none" else None,
-            fit=fit,
-            method=est.get("method", "exact"),
-            r_max=r_max,
-            mc_samples=int(est.get("mc_samples", 100_000)),
-            debias=est.get("debias", "tin"),
-            seed=s_est,
-        )
+    report = estimate(sketch, cfg._estimator_spec(gparams), seed=s_est)
     wall = time.perf_counter() - t0
 
     row = [

@@ -33,7 +33,7 @@ from .numkit import (
     log_rising_factorial,
     log_rising_factorial_prefix,
 )
-from .report import EstimateReport, FittedPrior
+from .report import DEFAULTS, EstimateReport, FittedPrior, check_estimator, check_value, given
 from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
 
 __all__ = [
@@ -261,24 +261,18 @@ def _shifted_moments(log_x: np.ndarray):
 # Working set of one block of orders of the Monte Carlo profile: orders x samples
 # cells of one float64 sum (8 MB), and at most as many bytes of kept chain values.
 _MC_CELLS = 1 << 20
-_MAX_MC_SAMPLES = 1 << 24  # samples of one profile, at most: 128 MB per float64 array
+# Monte Carlo work, at most: n + 1 floats in each of three f tables (32 MB each), and
+# sum(c - 1) chain steps x samples (~10 s at r = 0, ~2.5 min for every order)
+_MC_MAX_N, _MC_MAX_STEPS = 1 << 22, 1 << 30
 
 
-def _check_mc_samples(num_samples) -> int:
-    num_samples = int(num_samples)
-    if num_samples < 100:
-        raise DomainError(f"need at least 100 Monte Carlo samples, got {num_samples}")
-    if num_samples > _MAX_MC_SAMPLES:
-        raise DomainError(
-            f"{num_samples} Monte Carlo samples exceed the limit of {_MAX_MC_SAMPLES}; "
-            "pass fewer samples (CLI: --mc-samples)"
-        )
-    return num_samples
-
-
-def _check_debias(debias: str) -> None:
-    if debias not in ("none", "tin"):
-        raise DomainError(f"unknown debias mode {debias!r}")
+def _check_mc_work(sketch: Sketch, num_samples: int) -> None:
+    """Refuse Monte Carlo work past ``_MC_MAX_N`` or ``_MC_MAX_STEPS``, before any allocation."""
+    steps = (sketch.n - int(np.count_nonzero(sketch.counts))) * num_samples  # c walks c - 1
+    if sketch.n > _MC_MAX_N or steps > _MC_MAX_STEPS:
+        raise DomainError(f"Monte Carlo work past its limits: n = {sketch.n} (at most 2^22), "
+                          f"{steps} chain steps x samples (at most 2^30); pass fewer samples "
+                          "(CLI: --mc-samples)")
 
 
 def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, seed, debias: str,
@@ -297,9 +291,8 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     it and the SE go on the sum.  Diagnostics: Kish's ESS, top weight share, chain steps.
     """
     params.require_estimable(need_alpha_positive=True)
-    num_samples = _check_mc_samples(num_samples)
-    _check_debias(debias)
     values, _ = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
+    _check_mc_work(sketch, num_samples)
     c_max = int(values.max(initial=0))
     coverage = dict.fromkeys((int(r) for r in orders), 0.0)
     stderr = dict(coverage)
@@ -477,7 +470,7 @@ def pyp_coverage_mc(
     r: int,
     num_samples: int,
     seed,
-    debias: str = "tin",
+    debias: str = DEFAULTS["debias"],
 ):
     """Monte Carlo estimate of the coverage mass at order r, with its SE.
 
@@ -509,6 +502,7 @@ def pyp_coverage_mc(
     r = int(r)
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
+    num_samples, debias = check_value("mc_samples", num_samples), check_value("debias", debias)
     coverage, stderr, _ = _mc_profile(sketch, params, [r], num_samples, seed, debias, params.theta)
     return coverage[r], stderr[r]
 
@@ -658,10 +652,10 @@ def pyp_report(
     sketch: Sketch,
     params: PriorParams | None = None,
     fit: str = "none",
-    method: str = "exact",
+    method: str = DEFAULTS["method"],
     r_max: int | None = None,
-    mc_samples: int = 100_000,
-    debias: str = "tin",
+    mc_samples: int = DEFAULTS["mc_samples"],
+    debias: str = DEFAULTS["debias"],
     seed=0,
 ) -> EstimateReport:
     """Bundle fitting and estimation under the two-parameter prior.
@@ -670,60 +664,52 @@ def pyp_report(
     estimators degenerate; the report then falls back to the closed-form
     zero-discount estimators at the fitted theta (method tag "dp-exact").
     r_max defaults to the largest bucket count.  Before a fit or an allocation
-    it refuses a method other than "exact" or "mc", and more orders than the
-    zero-discount profile (2^24); the exact profile then refuses a bucket count
-    above 2000, and the Monte Carlo one over 2^24 samples or a debias mode
-    other than "none" or "tin".
+    it refuses, in turn: what the estimator table refuses (``SpecError`` for an
+    unknown fit, method or debias mode, a value of the wrong type or fit "none"
+    without params; theta <= 0, alpha outside (0, 1), mc_samples outside
+    [100, 2^24]); more orders than the zero-discount profile (2^24); for the
+    exact method a bucket count above 2000 (``ExactCapError``), for the Monte
+    Carlo one n above 2^22 or over 2^30 chain steps x samples.
     """
     t0 = time.perf_counter()
-    if method not in ("exact", "mc"):
-        raise DomainError(f"unknown method {method!r}")
-    if r_max is not None and r_max < 0:
-        raise DomainError(f"r_max must be >= 0, got {r_max}")
+    spec = check_estimator({"prior": "pyp", "fit": fit, "method": method, "mc_samples": mc_samples,
+                            "debias": debias, **given(r_max=r_max)}, params and vars(params))
     # refusals before a fit, which a refused sketch would waste
     c_max = int(count_multiset(sketch.counts)[0][-1])
-    r_max = c_max if r_max is None else int(r_max)
+    r_max = c_max if spec["r_max"] is None else spec["r_max"]
     _check_orders(r_max)
     if method == "exact":
         _check_max_count(c_max)
     else:
-        mc_samples = _check_mc_samples(mc_samples)
-        _check_debias(debias)
+        _check_mc_work(sketch, spec["mc_samples"])
     if fit == "eb-wasserstein":
         wf = wasserstein_fit(sketch, seed=seed)
         prior = wf.prior
         params = PriorParams(alpha=prior.alpha, theta=prior.theta)
-    elif fit == "none":
-        if params is None:
-            raise DomainError("fit='none' requires explicit prior parameters")
-        prior = FittedPrior(alpha=params.alpha, theta=params.theta, provenance="given")
     else:
-        raise DomainError(f"unknown fit mode {fit!r} for the two-parameter prior")
-    if params.alpha == 0.0:
-        if fit != "eb-wasserstein":
-            raise DomainError("alpha = 0 is the zero-discount prior; use the dp estimators")
+        prior = FittedPrior(alpha=params.alpha, theta=params.theta, provenance="given")
+    if params.alpha == 0.0:  # a fit on the grid's alpha = 0; a given alpha = 0 was refused
         rep = dp_report(sketch, theta=params.theta, fit="none", r_max=r_max)
         rep.prior = prior
         rep.wall_time = time.perf_counter() - t0
         return rep
 
     theta, alpha = params.theta, params.alpha
-    n = sketch.n
+    n, width = sketch.n, sketch.spec.width
     if method == "exact":
         engine = _ExactEngine(sketch, params)
         coverage = dict(enumerate(np.exp(engine.log_profile(r_max)).tolist()))
         stderr, diagnostics, tag = None, {}, "pyp-exact"
     else:
-        coverage, stderr, diagnostics = _mc_profile(
-            sketch, params, range(r_max + 1), mc_samples, seed, debias, theta / sketch.spec.width
-        )
+        coverage, stderr, diagnostics = _mc_profile(sketch, params, range(r_max + 1),
+                                                    spec["mc_samples"], seed, debias, theta / width)
         tag = "pyp-mc"
     freq = {r: (theta + n) / (r - alpha) * c for r, c in coverage.items() if r >= 1}
     distinct = (theta + n) / alpha * coverage[0] - theta / alpha
 
     return EstimateReport(
         n=n,
-        width=sketch.spec.width,
+        width=width,
         prior=prior,
         method=tag,
         coverage=coverage,

@@ -14,7 +14,8 @@ import pytest
 
 from bnpsketch import cli, pyp
 from bnpsketch.experiment import ExperimentConfig, csv_header, experiment_csv
-from bnpsketch.report import EstimateReport
+from bnpsketch.numkit import DomainError
+from bnpsketch.report import EstimateReport, SpecError
 from bnpsketch.sketch import HashSpec, Sketch, crc32c, sketch_load, sketch_save, sketch_serialize
 from bnpsketch.tokenizers import make_tokenizer
 
@@ -23,6 +24,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran past a refusal")
 
 
 def tokens_of(spec, data: bytes):
@@ -249,6 +254,18 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "2^63" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("count", [2**31, 2**63 - 1])
+    def test_mc_work_past_limit_exits_numeric(self, tmp_path, capsys, monkeypatch, count):
+        monkeypatch.setattr(pyp, "log_rising_factorial_prefix", _must_not_run)
+        spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        path = tmp_path / "big.sketch"
+        sketch_save(Sketch(spec, counts=np.array([count, 0], dtype=np.uint64), n=count), path)
+        code = run_cli("estimate", "--sketch", str(path), "--prior", "pyp", "--alpha", "0.5",
+                       "--theta", "1", "--method", "mc", "--r-max", "3", "--mc-samples", "200")
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "--mc-samples" in err and "Traceback" not in err
+
     def test_counts_not_summing_to_n_is_data_error(self, tmp_path):
         # a blob whose counts wrap past 2^64 to the stored n, with a valid CRC
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
@@ -433,6 +450,14 @@ class TestExperimentCommand:
         for bad in ({"n": 10}, {"estimator": 5}, {"theta": None}):
             cfg.write_text(json.dumps(dict(self.SMOKE, **bad)))
             assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
+        # non-integral numbers and bools where an integer is read: refused, not truncated
+        dp_fit = {"prior": "dp", "fit": "eb-mle"}
+        for bad in ({"width": 16.9}, {"width": 16.0}, {"width": True}, {"n": [10.7]},
+                    {"n": [False, 10]}, {"repetitions": 1.5}, {"seed": 99.0}, {"r_report": 2.5},
+                    {"estimator": dict(dp_fit, r_max=2.5)}, {"estimator": dict(dp_fit, r_max=True)},
+                    {"estimator": {"prior": "pyp", "alpha": 0.5, "method": "mc", "mc_samples": 200.5}}):
+            cfg.write_text(json.dumps(dict(self.SMOKE, **bad)))
+            assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA, bad
 
     def test_bad_estimator_keys_are_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -522,6 +547,82 @@ class TestExperimentCommand:
         batched = experiment_csv(cfg)
         monkeypatch.setattr(experiment, "_file_sketch", per_token)
         assert without_wall_time(batched) == without_wall_time(experiment_csv(cfg))
+
+
+# (estimator spec, refused?) on a zipf model, which supplies no prior parameter to fit "none"
+SPECS = [
+    ({"prior": "dp", "fit": "eb-mle"}, False),
+    ({"prior": "dp", "fit": "eb-mle", "theta": 2.5, "r_max": 3}, False),
+    ({"prior": "dp", "fit": "none", "theta": 2.5}, False),
+    ({"prior": "pyp", "fit": "none", "alpha": 0.5, "theta": 1}, False),
+    ({"prior": "pyp", "fit": "none", "alpha": 0.5, "theta": 1.0, "method": "mc",
+      "mc_samples": 200, "debias": "none", "r_max": 1}, False),
+    # the experiment loader ran these, or failed only after sampling
+    ({"prior": "pyp", "fit": "none", "alpha": 0.5, "theta": 1.0, "method": "bogus"}, True),
+    ({"prior": "pyp", "fit": "none", "alpha": 0.5, "theta": 1.0, "method": "mc",
+      "mc_samples": None}, True),
+    ({"prior": "pyp", "fit": "none", "alpha": 0.5, "theta": 1.0, "debias": "x"}, True),
+    # keys the dp prior does not read: the CLI ignored or took these
+    ({"prior": "dp", "fit": "none", "theta": 2.5, "alpha": 0}, True),
+    ({"prior": "dp", "fit": "eb-mle", "mc_samples": 200}, True),
+    ({"prior": "dp", "fit": "eb-mle", "debias": "tin"}, True),
+    ({"prior": "dp", "fit": "eb-mle", "method": "exact"}, True),
+    ({"prior": "bogus", "fit": "none"}, True),
+    ({"prior": "dp", "fit": "eb-wasserstein"}, True),
+    ({"prior": "pyp", "fit": "eb-mle"}, True),
+    ({"prior": "dp", "fit": "none"}, True),
+    ({"prior": "pyp", "fit": "none", "theta": 1.0}, True),
+    ({"prior": "dp", "fit": "eb-mle", "r_max": 2.5}, True),
+    ({"prior": "dp", "fit": "none", "theta": True}, True),
+    # values out of range
+    ({"prior": "dp", "fit": "eb-mle", "r_max": -1}, True),
+    ({"prior": "dp", "fit": "none", "theta": 0}, True),
+    ({"prior": "pyp", "fit": "none", "alpha": 0.0, "theta": 1.0}, True),
+    ({"prior": "pyp", "fit": "none", "alpha": 1.0, "theta": 1.0}, True),
+    ({"prior": "pyp", "fit": "none", "alpha": 0.5, "theta": -0.25}, True),
+    ({"prior": "pyp", "fit": "none", "alpha": 0.5, "theta": 1.0, "mc_samples": 99}, True),
+    ({"prior": "pyp", "fit": "none", "alpha": 0.5, "theta": 1.0, "mc_samples": 2**24 + 1}, True),
+]
+
+
+class TestEstimatorTable:
+    """The CLI and experiment configs read one estimator table and refuse the same specs."""
+
+    ZIPF = dict(TestExperimentCommand.SMOKE, model="zipf", exponent=[1.2], vocab=50)
+
+    @pytest.mark.parametrize("spec,refused", SPECS, ids=str)
+    def test_cli_and_config_agree(self, spec, refused, tmp_path, monkeypatch):
+        monkeypatch.setattr(pyp, "wasserstein_fit", _must_not_run)
+        sketch = tmp_path / "x.sketch"
+        s = Sketch(HashSpec.random(16, seed=0))
+        s.insert_ids(np.arange(40) % 11)
+        sketch_save(s, sketch)
+        argv = ["estimate", "--sketch", str(sketch), "--output", str(tmp_path / "rep.json")]
+        for key, value in spec.items():
+            argv += ["--" + key.replace("_", "-"), value if isinstance(value, str) else json.dumps(value)]
+        code = run_cli(*argv)
+        config = dict(self.ZIPF, estimator=spec)
+        if not refused:
+            assert code == cli.EXIT_OK
+            ExperimentConfig.from_dict(config)
+            return
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_dict(config)
+        # a spec no prior reads is a usage error; a value out of range a numerical one
+        assert code == (cli.EXIT_USAGE if isinstance(exc.value, SpecError) else cli.EXIT_NUMERIC)
+        assert isinstance(exc.value, DomainError)
+
+    def test_config_refusals_exit_at_load(self, tmp_path, capsys, monkeypatch):
+        from bnpsketch import experiment
+
+        monkeypatch.setattr(experiment, "run_experiment", _must_not_run)
+        cfg = tmp_path / "bad.json"
+        for spec, refused in SPECS:
+            if refused:
+                cfg.write_text(json.dumps(dict(self.ZIPF, estimator=spec)))
+                assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA, spec
+                err = capsys.readouterr().err
+                assert "bad experiment config" in err and "Traceback" not in err
 
 
 class TestBundledConfigs:

@@ -625,6 +625,20 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             pyp.pyp_coverage_mc(make_sketch([2]), PriorParams(0.5, 1.0), 0, 1000, 0, debias="x")
 
+    @pytest.mark.parametrize("counts,samples", [([2**31, 5], 200), ([2**63 - 1], 200),
+                                                ([2**21, 3], 1000)],
+                             ids=["n-2^31", "n-2^63", "steps-2^31"])
+    def test_work_past_limit_refused_before_allocation(self, monkeypatch, counts, samples):
+        # the f tables hold n + 1 floats each, and the walk takes sum(c - 1) steps per sample
+        monkeypatch.setattr(pyp, "log_rising_factorial_prefix", must_not_run)
+        monkeypatch.setattr(pyp, "wasserstein_fit", must_not_run)
+        s, params = make_sketch(counts), PriorParams(0.5, 1.0)
+        with pytest.raises(DomainError, match="--mc-samples"):
+            pyp.pyp_coverage_mc(s, params, 0, samples, seed=0)
+        for kw in (dict(params=params), dict(fit="eb-wasserstein")):
+            with pytest.raises(DomainError, match="--mc-samples"):
+                pyp.pyp_report(s, method="mc", r_max=3, mc_samples=samples, **kw)
+
     def test_tin_beats_plain_ratio_usually(self):
         # same seed, both corrections from one set of draws: the corrected
         # value should be at least as close to the exact one most of the
