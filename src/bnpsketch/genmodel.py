@@ -51,7 +51,8 @@ class PriorParams:
 
     Sampling only needs theta > -alpha; the sketch estimators additionally
     require theta > 0 (their log-space evaluation breaks for negative theta,
-    where the latent block weights alternate in sign).
+    where the latent block weights alternate in sign), and check it, with
+    alpha > 0, against the estimator table in ``report``.
     """
 
     alpha: float
@@ -64,12 +65,6 @@ class PriorParams:
             raise DomainError(
                 f"theta must exceed -alpha, got theta={self.theta}, alpha={self.alpha}"
             )
-
-    def require_estimable(self, need_alpha_positive: bool = False) -> None:
-        if self.theta <= 0.0:
-            raise DomainError(f"estimators require theta > 0, got {self.theta}")
-        if need_alpha_positive and not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"this estimator requires alpha in (0, 1), got {self.alpha}")
 
 
 @dataclass
@@ -210,8 +205,8 @@ def crp_bucket_counts(alpha, theta, stream, u, pick, bucket_of_id, width: int) -
     advances every row; each row repeats ``_crp_fill``'s float operations in
     the same order, so its counts equal those of that loop's symbols
     sketched with the same buckets, bit for bit.  Memory is one repeat table
-    of rows x n ids (a row's non-initial symbols) plus the counts; no
-    symbols are kept.
+    of rows x n ids (a row's non-initial symbols) in the smallest signed
+    integer type that holds -n, plus the counts; no symbols are kept.
     """
     alpha = np.asarray(alpha, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -219,7 +214,7 @@ def crp_bucket_counts(alpha, theta, stream, u, pick, bucket_of_id, width: int) -
     rows, n = stream.size, np.shape(u)[1]
     u_steps = np.ascontiguousarray(np.transpose(u), dtype=float)
     pick_steps = np.ascontiguousarray(np.transpose(pick), dtype=float)
-    id_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    id_type = np.min_scalar_type(-n)  # ids lie in 0..n - 1
     repeats = np.empty(rows * n, dtype=id_type)
     base = np.arange(rows, dtype=np.intp) * n
     n_blocks = np.ones(rows, dtype=np.intp)

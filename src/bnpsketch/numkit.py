@@ -169,15 +169,17 @@ def _check_alpha(alpha) -> float:
     return alpha
 
 
-def _gfc_next_row(row: np.ndarray, u: int, alpha: float) -> np.ndarray:
+def _gfc_next_row(row: np.ndarray, u: int, alpha: float, up: float) -> np.ndarray:
     """Advance the log-space triangular recursion by one order.
 
-    C(u+1, v) = (u - v*alpha) * C(u, v) + alpha * C(u, v-1); both summands are
-    nonnegative because u - v*alpha > 0 whenever v <= u and alpha < 1, so the
-    whole sweep stays in log space without sign tracking.
+    C(u+1, v) = (u - v*alpha) * C(u, v) + up * C(u, v-1): the
+    generalized factorial coefficients with up-coefficient alpha, and the
+    signless Stirling numbers at alpha = 0 with up-coefficient 1.  Both
+    summands are nonnegative because u - v*alpha > 0 whenever 1 <= v <= u and
+    alpha < 1, so the whole sweep stays in log space without sign tracking.
     """
     nxt = np.full(u + 2, -np.inf)
-    up_term = math.log(alpha) + row  # alpha * C(u, v-1) for v = 1..u+1
+    up_term = math.log(up) + row  # up * C(u, v-1) for v = 1..u+1
     if u >= 1:
         v = np.arange(1, u + 1)
         stay_term = np.log(u - v * alpha) + row[1:]
@@ -206,7 +208,7 @@ class GfcTable:
             raise DomainError(f"u must be >= 0, got {u}")
         while len(self._rows) <= u:
             uu = len(self._rows) - 1
-            self._rows.append(_gfc_next_row(self._rows[-1], uu, self.alpha))
+            self._rows.append(_gfc_next_row(self._rows[-1], uu, self.alpha, self.alpha))
         return self._rows[u]
 
 
@@ -265,33 +267,29 @@ def stirling_signless(u: int, v: int) -> int:
 
 
 def stirling_row_log(u: int) -> np.ndarray:
-    """log |s(u, v)| for v = 0..u, by the same recursion carried in log space."""
+    """log |s(u, v)| for v = 0..u: the coefficient recursion at alpha = 0, up-coefficient 1."""
     u = int(u)
     if u < 0:
         raise DomainError(f"u must be >= 0, got {u}")
     row = np.array([0.0])
     for uu in range(u):
-        nxt = np.full(uu + 2, -np.inf)
-        with np.errstate(divide="ignore"):
-            stay = (math.log(uu) if uu else -np.inf) + row[1:]
-        if uu >= 1:
-            nxt[1 : uu + 1] = np.logaddexp(stay, row[:-1])
-        else:
-            nxt[1] = row[0]
-        nxt[uu + 1] = row[uu]
-        row = nxt
+        row = _gfc_next_row(row, uu, 0.0, 1.0)
     return row
 
 
-def logsumexp(xs) -> float:
-    """log sum exp with max shift; empty input gives -inf."""
+def logsumexp(xs, axis: int | None = None):
+    """log sum exp over ``axis`` (all of ``xs`` when None), shifted by each slice's maximum.
+
+    A slice whose maximum is not finite is not shifted, so an empty or all -inf
+    slice gives -inf and one holding +inf gives +inf.  With axis None the
+    result is a float.
+    """
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return -np.inf
-    m = np.max(xs)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(xs - m))))
+    top = np.max(xs, axis=axis, keepdims=True, initial=-np.inf)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(xs - top), axis=axis)) + np.squeeze(top, axis=axis)
+    return float(out) if axis is None else out
 
 
 def log_convolve(a, b) -> np.ndarray:

@@ -6,9 +6,9 @@ which is astronomically large as written.  Every summand, however, is
 (s)_(t) * prod_j g_j(i_j) with t = |i|, s = theta/alpha, and (s)_(t) =
 E[X^t] for X ~ Gamma(s): the sum is the one-dimensional integral
 E[prod_j G_j(X)], G_j the polynomial of bucket j, over the U <= min(sqrt(2n),
-c_max) distinct counts: the cost follows the largest count c_max, not n.  Past
-c_max = 2000 a Monte Carlo representation over distinct-count chains takes over
-(drawn per bucket under theta/J for a profile, under theta by ``pyp_coverage_mc``).
+c_max) distinct counts: the cost follows the largest count c_max, not n.  A Monte
+Carlo representation over distinct-count chains (drawn per bucket under theta/J for
+a profile, under theta by ``pyp_coverage_mc``) also runs past c_max = 2000, unreliably.
 These are the only two methods: the closed-form power law derived under equal
 bucket fill misses the exact missing mass by a factor that grows with J, even
 under equal fill (2x at J = 4, 32x at J = 1024 for alpha = 0.5, theta = 1).
@@ -32,6 +32,7 @@ from .numkit import (
     log_gamma,
     log_rising_factorial,
     log_rising_factorial_prefix,
+    logsumexp,
 )
 from .report import DEFAULTS, EstimateReport, FittedPrior, check_estimator, check_value, given
 from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
@@ -77,7 +78,9 @@ def _check_max_count(c_max: int) -> None:
     if c_max > _EXACT_MAX_COUNT:
         raise ExactCapError(
             f"exact mode handles bucket counts up to {_EXACT_MAX_COUNT}, got a largest count "
-            f'of {c_max}; use the Monte Carlo profile instead (method="mc", CLI: --method mc)'
+            f'of {c_max}; the Monte Carlo profile (method="mc", CLI: --method mc) accepts it, but '
+            "at such counts it is unreliable: its estimates can be far off while its standard "
+            "errors stay small"
         )
 
 
@@ -86,7 +89,7 @@ def block_weights(counts, alpha, width: int | None = None) -> LogBlockWeights:
 
     counts are the bucket counts (empty buckets are neutral); width defaults
     to len(counts) and fixes the 1/J^i attenuation.  A largest count above
-    2000 raises ``ExactCapError`` pointing at the Monte Carlo path.
+    2000 raises ``ExactCapError``.
     """
     counts = np.asarray(counts)
     values, mult = count_multiset(counts)
@@ -96,12 +99,6 @@ def block_weights(counts, alpha, width: int | None = None) -> LogBlockWeights:
     table = GfcTable(float(alpha))
     per_count = [table.row(c) - np.arange(c + 1) * math.log(width) for c in values.tolist()]
     return LogBlockWeights(values=values, multiplicity=mult, per_count=per_count, table=table)
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log sum exp along ``axis``, shifted by the maximum of each slice."""
-    top = np.max(a, axis=axis, keepdims=True)
-    return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
 class _ExactEngine:
@@ -114,7 +111,8 @@ class _ExactEngine:
     """
 
     def __init__(self, sketch: Sketch, params: PriorParams):
-        params.require_estimable(need_alpha_positive=True)
+        check_value("theta", params.theta)
+        check_value("alpha", params.alpha)
         self.params, self.n, self.width = params, sketch.n, sketch.spec.width
         self.weights = block_weights(sketch.counts, params.alpha, width=self.width)
         self.c_max = int(self.weights.values.max(initial=0))
@@ -170,17 +168,17 @@ class _ExactEngine:
         while True:
             nodes = right - h * np.arange(math.ceil((right - left) / h), -1, -1)
             v = nodes - math.log(s)
-            log_g = np.array([_logsumexp(g[:, None] + np.arange(g.size)[:, None] * nodes, axis=0)
+            log_g = np.array([logsumexp(g[:, None] + np.arange(g.size)[:, None] * nodes, axis=0)
                               for g in rows])
             base = log_norm + math.log(h) - s * (np.expm1(v) - v) + mult @ log_g  # shape s
             loo = (base + v) - log_g
             if (loo[:, 0] < loo.max(axis=1) - 36.0).all():
                 break
             left -= extend
-        self.log_den = float(_logsumexp(base, axis=0))
+        self.log_den = logsumexp(base)
         base += v  # shape s + 1
-        self.log_num_full = float(_logsumexp(base, axis=0))
-        self.numerator = [_logsumexp((base - lg) + np.arange(g.size)[:, None] * nodes, axis=1)
+        self.log_num_full = logsumexp(base)
+        self.numerator = [logsumexp((base - lg) + np.arange(g.size)[:, None] * nodes, axis=1)
                           for g, lg in zip(rows, log_g)]
 
     def log_profile(self, r_max: int) -> np.ndarray:
@@ -211,7 +209,7 @@ class _ExactEngine:
                 cols = min(c - lo + 1, num.size)  # row c - r has c - r + 1 entries
                 rows = grid[c - orders, :cols]
                 rows += num[:cols] - np.arange(cols) * math.log(self.width)
-                terms = _logsumexp(rows, axis=1) + math.log(m) + log_fact[c]
+                terms = logsumexp(rows, axis=1) + math.log(m) + log_fact[c]
                 terms -= log_fact[orders] + log_fact[c - orders]  # m C(c, r)
                 out[orders] = np.logaddexp(out[orders], terms)
         out[1 : top + 1] += log_pre[1:]
@@ -290,7 +288,8 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     bucket only for a depth not kept.  The Tin correction is linear in Z_j, so
     it and the SE go on the sum.  Diagnostics: Kish's ESS, top weight share, chain steps.
     """
-    params.require_estimable(need_alpha_positive=True)
+    check_value("theta", params.theta)
+    check_value("alpha", params.alpha)
     values, _ = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
     _check_mc_work(sketch, num_samples)
     c_max = int(values.max(initial=0))
@@ -507,21 +506,26 @@ def pyp_coverage_mc(
     return coverage[r], stderr[r]
 
 
-def sorted_count_distance(counts_a, counts_b) -> float:
-    """Mean absolute difference of sorted bucket counts (same width)."""
-    a = np.sort(np.asarray(counts_a, dtype=float))
-    b = np.sort(np.asarray(counts_b, dtype=float))
-    if a.size != b.size:
+def sorted_count_distance(counts_a, counts_b):
+    """Mean absolute difference of sorted bucket counts (same width).
+
+    Either argument may be a batch of rows: each is sorted and averaged along
+    its last axis, and a batch gives an array of the row-by-row values.
+    """
+    a = np.sort(np.asarray(counts_a, dtype=float), axis=-1)
+    b = np.sort(np.asarray(counts_b, dtype=float), axis=-1)
+    if a.shape[-1:] != b.shape[-1:]:
         raise DomainError("sorted-count distance needs equal widths")
-    return float(np.mean(np.abs(a - b)))
+    out = np.mean(np.abs(a - b), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 DEFAULT_ALPHA_GRID = tuple(np.round(np.arange(0.0, 0.951, 0.05), 10))
 DEFAULT_THETA_GRID = tuple(np.logspace(-1.0, 5.0, 10))
 
-# Working set of one lockstep batch of the fit: rows x max(n_sim, width)
-# cells, i.e. about 8 MB of int32 repeat table.
-_LOCKSTEP_CELLS = 1 << 21
+# Working set of one lockstep batch of the fit: rows x max(n_sim, width) cells
+# of the repeat table's symbol ids, at most 8 MB of them.
+_LOCKSTEP_BYTES = 1 << 23
 
 
 @dataclass
@@ -572,10 +576,10 @@ def wasserstein_fit(
     only on the symbol sequence, and stick coverage would be intractable on
     the heavy-discount end of the grid.  The streams of a stage (grid, theta
     refinement, rescoring) run in lockstep, one row per (alpha, theta,
-    replicate), in batches of a fixed working set (``_LOCKSTEP_CELLS``:
-    about 8 MB of repeat table); the bucket of each symbol id is hashed once
-    per fit.  The surface equals that of sampling and sketching each stream
-    on its own, bit for bit.
+    replicate), in batches of a fixed working set (``_LOCKSTEP_BYTES``: 8 MB
+    of repeat table); the bucket of each symbol id is hashed once per fit.
+    The surface equals that of sampling and sketching each stream on its
+    own, bit for bit.
     """
     if sketch.n == 0:
         raise DomainError("cannot fit parameters on an empty sketch")
@@ -597,7 +601,8 @@ def wasserstein_fit(
     bucket_of_id = buckets_u64(
         prehash_u64(np.arange(n_sim), spec.symbol_seed), spec.a, spec.b, spec.width
     )
-    batch_rows = max(1, _LOCKSTEP_CELLS // max(n_sim, spec.width))
+    id_bytes = np.min_scalar_type(-n_sim).itemsize  # as ``crp_bucket_counts`` stores them
+    batch_rows = max(1, _LOCKSTEP_BYTES // (max(n_sim, spec.width) * id_bytes))
 
     def mean_distances(points, reps: int) -> dict:
         """Distance of each (alpha, theta) point averaged over the first reps replicates."""
@@ -623,8 +628,7 @@ def wasserstein_fit(
                 bucket_of_id,
                 spec.width,
             )
-            for (p, r), row in zip(batch, counts):
-                dist[p, r] = sorted_count_distance(row, target)
+            dist[tuple(zip(*batch))] = sorted_count_distance(counts, target)
         # replicate distances are added in replicate order, as a running sum
         means = dist.cumsum(axis=1)[:, -1] / reps
         return {at: float(d) for at, d in zip(points, means)}

@@ -440,6 +440,16 @@ class TestExperimentCommand:
             "method,mc_stderr,wall_time"
         ).split(",")
 
+    def test_timing_fills_wall_time(self):
+        def wall_times(cfg):
+            text = experiment_csv(ExperimentConfig.from_dict(cfg))
+            return [row["wall_time"] for row in csv.DictReader(io.StringIO(text))]
+
+        cfg = dict(self.SMOKE, n=[10, 20], repetitions=2)
+        assert wall_times(cfg) == [""] * 4
+        timed = [float(t) for t in wall_times(dict(cfg, timing=True))]
+        assert len(timed) == 4 and all(t > 0.0 for t in timed)
+
     def test_bad_config_is_data_error(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"model": "dp"}))

@@ -20,13 +20,6 @@ class TestPriorParams:
         with pytest.raises(DomainError):
             gm.PriorParams(alpha=0.5, theta=-0.5)
 
-    def test_estimable_requirements(self):
-        with pytest.raises(DomainError):
-            gm.PriorParams(alpha=0.5, theta=-0.2).require_estimable()
-        gm.PriorParams(alpha=0.5, theta=1.0).require_estimable(need_alpha_positive=True)
-        with pytest.raises(DomainError):
-            gm.PriorParams(alpha=0.0, theta=1.0).require_estimable(need_alpha_positive=True)
-
 
 class TestStickBreakingSampler:
     def test_empty_sample(self):

@@ -208,6 +208,27 @@ class TestLogSumExp:
             nk.logsumexp([math.log(3), math.log(7)]), math.log(10), rel_tol=1e-14
         )
 
+    def test_non_finite_maxima(self):
+        assert nk.logsumexp([-np.inf, -np.inf]) == -np.inf
+        assert nk.logsumexp([1.0, np.inf, -np.inf]) == np.inf
+        assert nk.logsumexp(np.empty((3, 0)), axis=1).tolist() == [-np.inf] * 3
+        got = nk.logsumexp([[-np.inf, 0.0], [-np.inf, np.inf]], axis=0)
+        assert got.tolist() == [-np.inf, np.inf]
+        assert isinstance(nk.logsumexp([0.5, 1.5]), float)
+
+    def test_axis_equals_one_dimensional_calls(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(scale=30.0, size=(17, 11))
+        a[2] = -np.inf
+        a[4, 3] = -np.inf
+        a[5, 6] = np.inf
+        # along the last axis each slice is summed as a 1-D call sums it, bit for bit
+        assert nk.logsumexp(a, axis=1).tolist() == [nk.logsumexp(row) for row in a]
+        # along axis 0 numpy adds the rows in turn, not pairwise: equal to rounding
+        want = [nk.logsumexp(col) for col in a.T]
+        np.testing.assert_allclose(nk.logsumexp(a, axis=0), want, rtol=1e-14)
+        assert nk.logsumexp(a, axis=0)[6] == np.inf
+
 
 class TestLogConvolve:
     def test_identity_element(self):

@@ -25,6 +25,7 @@ from bnpsketch.numkit import (
     log_rising_factorial_prefix,
     logsumexp,
 )
+from bnpsketch.report import SpecError
 from bnpsketch.sketch import HashSpec, Sketch
 from conftest import make_sketch
 
@@ -593,9 +594,35 @@ class TestExactEstimators:
 
     def test_exact_cap_names_fallback(self):
         want = ('exact mode handles bucket counts up to 2000, got a largest count of 3000; '
-                'use the Monte Carlo profile instead (method="mc", CLI: --method mc)')
-        with pytest.raises(pyp.ExactCapError, match=re.escape(want)):
+                'the Monte Carlo profile (method="mc", CLI: --method mc) accepts it, but at such '
+                'counts it is unreliable')
+        with pytest.raises(pyp.ExactCapError, match=re.escape(want)) as err:
             pyp.pyp_coverage_exact(make_sketch([3000]), PriorParams(0.5, 1.0), 0)
+        # MC is no stand-in there: measured 28% off at a largest count of 2 901
+        assert "instead" not in str(err.value)
+
+
+class TestParameterRanges:
+    """The estimators check theta and alpha against the estimator table."""
+
+    ESTIMATORS = {
+        "loglik": pyp.pyp_loglik,
+        "coverage_exact": lambda s, p: pyp.pyp_coverage_exact(s, p, 1),
+        "coverage_mc": lambda s, p: pyp.pyp_coverage_mc(s, p, 0, num_samples=200, seed=0)[0],
+    }
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("alpha,theta,rule", [
+        (0.5, -0.2, "theta must be > 0"),
+        (0.5, 0.0, "theta must be > 0"),
+        (0.0, 1.0, "alpha must lie in (0, 1)"),
+    ])
+    def test_parameter_ranges_from_the_table(self, estimator, alpha, theta, rule):
+        s = make_sketch([3, 1, 0])
+        with pytest.raises(DomainError, match=re.escape(rule)) as err:
+            self.ESTIMATORS[estimator](s, PriorParams(alpha, theta))
+        assert not isinstance(err.value, SpecError)  # out of range: CLI exit 3, not a usage error
+        assert math.isfinite(self.ESTIMATORS[estimator](s, PriorParams(0.5, 1.0)))
 
 
 class TestMonteCarlo:
@@ -866,6 +893,18 @@ class TestWassersteinFit:
     def test_distance_requires_equal_width(self):
         with pytest.raises(DomainError):
             pyp.sorted_count_distance([1.0, 2.0], [1.0])
+        with pytest.raises(DomainError):
+            pyp.sorted_count_distance(np.ones((3, 2)), [1.0])
+
+    def test_batch_distance_equals_per_row_calls(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 400, size=(200, 128))
+        target = np.sort(rng.integers(0, 400, size=128)) * 0.37
+        batch = pyp.sorted_count_distance(rows, target)
+        assert batch.shape == (200,)
+        assert batch.tolist() == [pyp.sorted_count_distance(row, target) for row in rows]
+        assert pyp.sorted_count_distance(target, rows).tolist() == batch.tolist()
+        assert isinstance(pyp.sorted_count_distance(rows[0], target), float)
 
     def test_small_grid_smoke(self):
         smp = sample_pyp_sequence(PriorParams(0.0, 20.0), 2000, seed=3)
@@ -929,9 +968,9 @@ class TestWassersteinFit:
     @pytest.mark.parametrize("fit_seed", [9, 10])
     @pytest.mark.parametrize("cells", [None, 7 * 300])
     def test_surface_matches_per_stream_fit(self, fit_seed, cells, monkeypatch):
-        # cells = 7 rows of 300 observations forces batches that split replicates
+        # cells = 7 rows of 300 observations (2-byte ids) forces batches that split replicates
         if cells is not None:
-            monkeypatch.setattr(pyp, "_LOCKSTEP_CELLS", cells)
+            monkeypatch.setattr(pyp, "_LOCKSTEP_BYTES", 2 * cells)
         smp = sample_pyp_sequence(PriorParams(0.5, 20.0), 1500, seed=3, with_weights=False)
         s = Sketch(HashSpec.random(32, seed=4))
         s.insert_ids(smp.symbols)
