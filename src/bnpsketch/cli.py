@@ -16,8 +16,8 @@ import numpy as np
 
 from . import dp
 from .numkit import DomainError
-from .report import (CHOICES, PRIORS, SPEC_KEYS, EstimateReport, SpecError, check_estimator,
-                     estimate, given)
+from .report import (CHOICES, ORDER_FIELDS, PRIORS, SPEC_KEYS, EstimateReport, SpecError,
+                     check_estimator, estimate, given)
 from .sketch import (
     HashSpec,
     Sketch,
@@ -136,29 +136,15 @@ def _cmd_sketch(args) -> int:
 
 
 def _report_to_csv(report: EstimateReport, fh) -> None:
-    rs = sorted(report.coverage)
-    header = ["n", "width", "alpha", "theta", "provenance", "boundary_hit", "method", "distinct"]
-    header += [f"p_{r}" for r in rs]
-    header += [f"m_{r}" for r in sorted(report.freq_counts)]
-    if report.mc_stderr is not None:
-        header += [f"se_{r}" for r in sorted(report.mc_stderr)]
-    row = [
-        report.n,
-        report.width,
-        report.prior.alpha,
-        report.prior.theta,
-        report.prior.provenance,
-        report.prior.boundary_hit,
-        report.method,
-        report.distinct,
-    ]
-    row += [report.coverage[r] for r in rs]
-    row += [report.freq_counts[r] for r in sorted(report.freq_counts)]
-    if report.mc_stderr is not None:
-        row += [report.mc_stderr[r] for r in sorted(report.mc_stderr)]
+    row = {"n": report.n, "width": report.width, **report.prior.to_dict(), "method": report.method,
+           "distinct": report.distinct}
+    for name, prefix in ORDER_FIELDS.items():
+        orders = getattr(report, name)
+        if orders is not None:
+            row |= {f"{prefix}_{r}": v for r, v in sorted(orders.items())}
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
     writer.writerow(row)
+    writer.writerow(row.values())
 
 
 def _cmd_estimate(args) -> int:

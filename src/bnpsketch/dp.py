@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .numkit import DomainError, digamma, log_gamma
-from .report import EstimateReport, FittedPrior, check_estimator, check_value, given
+from .report import EstimateReport, FittedPrior, check_estimator, check_value, freq_counts_from, given
 from .sketch import Sketch, count_multiset
 
 __all__ = [
@@ -200,7 +200,8 @@ def dp_freq_counts(sketch: Sketch, theta, r: int) -> float:
     r = int(r)
     if r < 1:
         raise DomainError(f"frequency order must be >= 1, got {r}")
-    return (check_value("theta", theta) + sketch.n) / r * dp_coverage(sketch, theta, r)
+    theta = check_value("theta", theta)
+    return freq_counts_from({r: dp_coverage(sketch, theta, r)}, sketch.n, theta)[r]
 
 
 def dp_distinct(sketch: Sketch, theta) -> float:
@@ -255,14 +256,13 @@ def dp_report(
     n, width = sketch.n, sketch.spec.width
     r_max = int(vals[-1]) if spec["r_max"] is None else spec["r_max"]
     coverage = dict(enumerate(_coverage(vals, mult, n, width, theta_hat, r_max).tolist()))
-    freq = {r: float((theta_hat + n) / r * coverage[r]) for r in range(1, r_max + 1)}
     report = EstimateReport(
         n=n,
         width=width,
         prior=FittedPrior(alpha=0.0, theta=theta_hat, provenance=provenance, boundary_hit=boundary),
         method="dp-exact",
         coverage=coverage,
-        freq_counts=freq,
+        freq_counts=freq_counts_from(coverage, n, theta_hat),
         distinct=float(_distinct(vals, mult, width, theta_hat)),
         mc_stderr=None,
         wall_time=time.perf_counter() - t0,

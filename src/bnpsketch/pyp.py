@@ -34,7 +34,8 @@ from .numkit import (
     log_rising_factorial_prefix,
     logsumexp,
 )
-from .report import DEFAULTS, EstimateReport, FittedPrior, check_estimator, check_value, given
+from .report import (DEFAULTS, EstimateReport, FittedPrior, check_estimator, check_value, distinct_from,
+                     freq_counts_from, given)
 from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
 
 __all__ = [
@@ -53,7 +54,7 @@ __all__ = [
 
 _EXACT_MAX_COUNT = 2000  # the coefficient triangle, row length and node count follow it
 _NODE_DENSITY = 3  # nodes per 1/sqrt(x*) of the exact engine's grid
-_PROFILE_CELLS = 1 << 20  # cells of one block of orders of an exact profile (8 MB)
+_PROFILE_CELLS = 1 << 20  # cells of one block of nodes or orders of the exact engine (8 MB)
 
 
 class ExactCapError(DomainError):
@@ -168,8 +169,16 @@ class _ExactEngine:
         while True:
             nodes = right - h * np.arange(math.ceil((right - left) / h), -1, -1)
             v = nodes - math.log(s)
-            log_g = np.array([logsumexp(g[:, None] + np.arange(g.size)[:, None] * nodes, axis=0)
-                              for g in rows])
+            # node sums in blocks of at most _PROFILE_CELLS cells; numpy adds each node's
+            # column in row order, as over the whole grid, but that of a lone node
+            # pairwise, so the last block starts early rather than hold one node
+            log_g = np.empty((len(rows), nodes.size))
+            for g, row in zip(rows, log_g):
+                per_block = max(2, _PROFILE_CELLS // g.size)
+                for lo in range(0, nodes.size, per_block):
+                    lo = max(0, min(lo, nodes.size - 2))
+                    terms = np.arange(g.size)[:, None] * nodes[lo : lo + per_block]
+                    row[lo : lo + per_block] = logsumexp(g[:, None] + terms, axis=0)
             base = log_norm + math.log(h) - s * (np.expm1(v) - v) + mult @ log_g  # shape s
             loo = (base + v) - log_g
             if (loo[:, 0] < loo.max(axis=1) - 36.0).all():
@@ -178,8 +187,12 @@ class _ExactEngine:
         self.log_den = logsumexp(base)
         base += v  # shape s + 1
         self.log_num_full = logsumexp(base)
-        self.numerator = [logsumexp((base - lg) + np.arange(g.size)[:, None] * nodes, axis=1)
-                          for g, lg in zip(rows, log_g)]
+        self.numerator = [np.empty(g.size) for g in rows]
+        per_block = max(1, _PROFILE_CELLS // nodes.size)
+        for num, lg in zip(self.numerator, log_g):
+            for lo in range(0, num.size, per_block):
+                i = np.arange(lo, min(lo + per_block, num.size))
+                num[lo : lo + per_block] = logsumexp((base - lg) + i[:, None] * nodes, axis=1)
 
     def log_profile(self, r_max: int) -> np.ndarray:
         """log coverage at orders 0..r_max, each bit for bit that of any longer profile.
@@ -236,16 +249,17 @@ def pyp_coverage_exact(sketch: Sketch, params: PriorParams, r: int) -> float:
 
 def pyp_freq_counts(sketch: Sketch, params: PriorParams, r: int) -> float:
     """Exact estimated number of distinct symbols with frequency r >= 1."""
-    if int(r) < 1:
+    r = int(r)
+    if r < 1:
         raise DomainError(f"frequency order must be >= 1, got {r}")
     p_r = pyp_coverage_exact(sketch, params, r)
-    return (params.theta + sketch.n) / (int(r) - params.alpha) * p_r
+    return freq_counts_from({r: p_r}, sketch.n, params.theta, params.alpha)[r]
 
 
 def pyp_distinct(sketch: Sketch, params: PriorParams) -> float:
     """Exact estimated number of distinct symbols in the un-sketched stream."""
     p0 = pyp_coverage_exact(sketch, params, 0)
-    return (params.theta + sketch.n) / params.alpha * p0 - params.theta / params.alpha
+    return distinct_from(p0, sketch.n, params.theta, params.alpha)
 
 
 def _shifted_moments(log_x: np.ndarray):
@@ -569,7 +583,8 @@ def wasserstein_fit(
     alpha against ``refine_theta`` extra theta values packed within half a
     decade of the first-pass minimizer.  Finally the ``rescore_top`` lowest
     candidates are re-scored with quadruple replications before the winner
-    is declared, since the argmin of many noisy means is biased low.  Set
+    is declared, since the argmin of many noisy means is biased low; only
+    the replicates a candidate has not had yet are simulated.  Set
     refine_theta=0 / rescore_top=0 to disable either stage.
 
     Simulation uses the sequential predictive sampler: the sketch depends
@@ -604,12 +619,18 @@ def wasserstein_fit(
     id_bytes = np.min_scalar_type(-n_sim).itemsize  # as ``crp_bucket_counts`` stores them
     batch_rows = max(1, _LOCKSTEP_BYTES // (max(n_sim, spec.width) * id_bytes))
 
+    known = {}  # (alpha, theta) -> its replicate distances so far, in replicate order
+
     def mean_distances(points, reps: int) -> dict:
-        """Distance of each (alpha, theta) point averaged over the first reps replicates."""
+        """Distance of each (alpha, theta) point averaged over the first reps replicates;
+        only the replicates not simulated before are."""
         for a, t in points:
             PriorParams(alpha=a, theta=t)
-        jobs = [(p, r) for r in range(reps) for p in range(len(points))]
         dist = np.empty((len(points), reps))
+        done = [known.get(at, ())[:reps] for at in points]
+        for row, d in zip(dist, done):
+            row[: len(d)] = d
+        jobs = [(p, r) for r in range(reps) for p in range(len(points)) if r >= len(done[p])]
         for lo in range(0, len(jobs), batch_rows):
             batch = jobs[lo : lo + batch_rows]
             first, last = batch[0][1], batch[-1][1] + 1
@@ -629,6 +650,7 @@ def wasserstein_fit(
                 spec.width,
             )
             dist[tuple(zip(*batch))] = sorted_count_distance(counts, target)
+        known.update(zip(points, dist))
         # replicate distances are added in replicate order, as a running sum
         means = dist.cumsum(axis=1)[:, -1] / reps
         return {at: float(d) for at, d in zip(points, means)}
@@ -639,8 +661,7 @@ def wasserstein_fit(
         extra = np.logspace(
             math.log10(t_best) - 0.5, math.log10(t_best) + 0.5, int(refine_theta) + 2
         )[1:-1]
-        fresh = [(a, float(t)) for a in alpha_grid for t in extra]
-        scores.update(mean_distances([at for at in fresh if at not in scores], num_reps))
+        scores.update(mean_distances([(a, float(t)) for a in alpha_grid for t in extra], num_reps))
     if rescore_top > 0:
         shortlist = sorted(scores, key=lambda at: (scores[at], at))[: int(rescore_top)]
         scores.update(mean_distances(shortlist, 4 * num_reps))
@@ -708,17 +729,14 @@ def pyp_report(
         coverage, stderr, diagnostics = _mc_profile(sketch, params, range(r_max + 1),
                                                     spec["mc_samples"], seed, debias, theta / width)
         tag = "pyp-mc"
-    freq = {r: (theta + n) / (r - alpha) * c for r, c in coverage.items() if r >= 1}
-    distinct = (theta + n) / alpha * coverage[0] - theta / alpha
-
     return EstimateReport(
         n=n,
         width=width,
         prior=prior,
         method=tag,
         coverage=coverage,
-        freq_counts=freq,
-        distinct=distinct,
+        freq_counts=freq_counts_from(coverage, n, theta, alpha),
+        distinct=distinct_from(coverage[0], n, theta, alpha),
         mc_stderr=stderr,
         diagnostics=diagnostics,
         wall_time=time.perf_counter() - t0,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .numkit import DomainError
 
@@ -107,9 +107,31 @@ def estimate(sketch, spec: dict, seed=0) -> EstimateReport:
     return pyp_report(sketch, params=params, seed=seed, **kw)
 
 
-def _by_order(d: dict) -> dict:
-    """An order-keyed dict with JSON string keys, in order."""
-    return {str(r): v for r, v in sorted(d.items())}
+# each per-order field of a report and its CSV column prefix: an order-keyed dict
+# goes to JSON with string keys, in order, and to CSV as one column per order
+ORDER_FIELDS = {"coverage": "p", "freq_counts": "m", "mc_stderr": "se"}
+
+
+def _orders_out(v):
+    """An order-keyed dict with JSON string keys, in order; any other value as it is."""
+    return {str(r): x for r, x in sorted(v.items())} if isinstance(v, dict) else v
+
+
+def _orders_in(v):
+    """The inverse of ``_orders_out``."""
+    return {int(r): x for r, x in v.items()} if isinstance(v, dict) else v
+
+
+def freq_counts_from(coverage: dict, n: int, theta: float, alpha: float = 0.0) -> dict:
+    """m_r = (theta + n)/(r - alpha) p_r, the expected number of distinct symbols seen r
+    times, at each order r >= 1 of ``coverage``; alpha = 0 is the dp prior."""
+    return {r: float((theta + n) / (r - alpha) * p) for r, p in coverage.items() if r >= 1}
+
+
+def distinct_from(p0: float, n: int, theta: float, alpha: float) -> float:
+    """K = (theta + n)/alpha p_0 - theta/alpha, the expected number of distinct symbols
+    under the pyp prior (alpha > 0), from its missing mass p_0."""
+    return (theta + n) / alpha * p0 - theta / alpha
 
 
 @dataclass
@@ -126,21 +148,12 @@ class FittedPrior:
     boundary_hit: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "provenance": self.provenance,
-            "boundary_hit": self.boundary_hit,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedPrior":
-        return cls(
-            alpha=d["alpha"],
-            theta=d["theta"],
-            provenance=d.get("provenance", "given"),
-            boundary_hit=d.get("boundary_hit", False),
-        )
+        """The prior of ``d``; keys that are not fields are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass
@@ -152,7 +165,8 @@ class EstimateReport:
     r = 1..r_max; distinct is the estimated total number of distinct symbols.
     mc_stderr carries per-order Monte Carlo standard errors when the method
     is sampling-based, and diagnostics its trust measures (a nested dict maps
-    order r -> value); an empty diagnostics dict is left out of the JSON.
+    order r -> value).  The JSON keys follow the field order, diagnostics
+    last; an empty diagnostics dict is left out.
     """
 
     n: int
@@ -167,47 +181,23 @@ class EstimateReport:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "width": self.width,
-            "prior": self.prior.to_dict(),
-            "method": self.method,
-            "coverage": _by_order(self.coverage),
-            "freq_counts": _by_order(self.freq_counts),
-            "distinct": self.distinct,
-            "mc_stderr": None if self.mc_stderr is None else _by_order(self.mc_stderr),
-            "wall_time": self.wall_time,
-        }
-        if self.diagnostics:
-            out["diagnostics"] = {
-                k: _by_order(v) if isinstance(v, dict) else v for k, v in self.diagnostics.items()
-            }
-        return out
+        out = {f.name: getattr(self, f.name) for f in fields(self)} | {"prior": self.prior.to_dict()}
+        out |= {name: _orders_out(out[name]) for name in ORDER_FIELDS}
+        diagnostics = {k: _orders_out(v) for k, v in out.pop("diagnostics").items()}
+        return out | {"diagnostics": diagnostics} if diagnostics else out
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimateReport":
-        return cls(
-            n=d["n"],
-            width=d["width"],
-            prior=FittedPrior.from_dict(d["prior"]),
-            method=d["method"],
-            coverage={int(r): v for r, v in d.get("coverage", {}).items()},
-            freq_counts={int(r): v for r, v in d.get("freq_counts", {}).items()},
-            distinct=d.get("distinct", 0.0),
-            mc_stderr=(
-                None
-                if d.get("mc_stderr") is None
-                else {int(r): v for r, v in d["mc_stderr"].items()}
-            ),
-            diagnostics={
-                k: {int(r): x for r, x in v.items()} if isinstance(v, dict) else v
-                for k, v in d.get("diagnostics", {}).items()
-            },
-            wall_time=d.get("wall_time", 0.0),
-        )
+        """The report of ``d``; a missing n, width, prior or method raises TypeError."""
+        kw = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        kw |= {name: _orders_in(kw[name]) for name in ORDER_FIELDS if name in kw}
+        kw["diagnostics"] = {k: _orders_in(v) for k, v in kw.get("diagnostics", {}).items()}
+        if "prior" in kw:
+            kw["prior"] = FittedPrior.from_dict(kw["prior"])
+        return cls(**kw)
 
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":

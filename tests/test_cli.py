@@ -12,8 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from bnpsketch import cli, pyp
+from bnpsketch import cli, dp, pyp
 from bnpsketch.experiment import ExperimentConfig, csv_header, experiment_csv
+from bnpsketch.genmodel import PriorParams
 from bnpsketch.numkit import DomainError
 from bnpsketch.report import EstimateReport, SpecError
 from bnpsketch.sketch import HashSpec, Sketch, crc32c, sketch_load, sketch_save, sketch_serialize
@@ -293,6 +294,53 @@ class TestEstimateCommand:
         assert header[:8] == ["n", "width", "alpha", "theta", "provenance",
                               "boundary_hit", "method", "distinct"]
         assert "p_0" in header and "m_1" in header
+
+
+class TestReportEncoding:
+    """The JSON and CSV layout of a report: one table of per-order fields drives both."""
+
+    @staticmethod
+    def reports():
+        # orders 0..12, sorted as numbers: "10" after "9"
+        s = Sketch(HashSpec.random(16, seed=0))
+        s.insert_ids(np.arange(40) % 11)
+        params = PriorParams(0.5, 1.0)
+        return {
+            "dp": dp.dp_report(s, fit="eb-mle", r_max=12),
+            "exact": pyp.pyp_report(s, params=params, r_max=12),
+            "mc": pyp.pyp_report(s, params=params, method="mc", mc_samples=1000, r_max=12, seed=2),
+        }
+
+    @pytest.mark.parametrize("kind", ["dp", "exact", "mc"])
+    def test_json_round_trip(self, kind):
+        rep = self.reports()[kind]
+        assert (kind == "mc") == bool(rep.diagnostics)
+        assert EstimateReport.from_json(rep.to_json()) == rep
+
+    def test_key_and_column_order(self):
+        keys = ["n", "width", "prior", "method", "coverage", "freq_counts", "distinct", "mc_stderr",
+                "wall_time"]
+        orders = [str(r) for r in range(13)]
+        for kind, rep in self.reports().items():
+            d = rep.to_dict()
+            assert list(d) == keys + ["diagnostics"] * (kind == "mc")
+            assert list(d["prior"]) == ["alpha", "theta", "provenance", "boundary_hit"]
+            assert list(d["coverage"]) == orders and list(d["freq_counts"]) == orders[1:]
+            fh = io.StringIO()
+            cli._report_to_csv(rep, fh)
+            want = ["n", "width", "alpha", "theta", "provenance", "boundary_hit", "method", "distinct"]
+            want += [f"p_{r}" for r in orders] + [f"m_{r}" for r in orders[1:]]
+            want += [f"se_{r}" for r in orders] if kind == "mc" else []
+            assert fh.getvalue().splitlines()[0].split(",") == want
+
+    def test_missing_required_field_is_type_error(self):
+        d = self.reports()["dp"].to_dict()
+        for key in ("n", "width", "prior", "method"):
+            with pytest.raises(TypeError):
+                EstimateReport.from_dict({k: v for k, v in d.items() if k != key})
+        # keys that are not fields are ignored, in the report and in its prior
+        extra = dict(d, spare=1, prior=dict(d["prior"], spare=2))
+        assert EstimateReport.from_dict(extra) == EstimateReport.from_dict(d)
 
 
 class TestSimulateCommand:

@@ -10,6 +10,7 @@ import pytest
 from bnpsketch import dp, pyp
 from bnpsketch.genmodel import (
     PriorParams,
+    crp_bucket_counts,
     distinct_chain,
     rng_from,
     sample_distinct_pairs,
@@ -489,6 +490,46 @@ class TestQuadratureEngine:
         want = engine.log_profile(max(counts))
         monkeypatch.setattr(pyp, "_PROFILE_CELLS", 1 << 11)
         assert np.array_equal(engine.log_profile(max(counts)), want)
+
+    @pytest.mark.parametrize("counts,alpha,theta,cells", [
+        pytest.param([2000], 0.95, 0.01, 1 << 11, id="one-bucket"),
+        # 6 356 nodes in blocks of 5 for the row of 2 001 entries: the last would hold one
+        pytest.param([2000], 0.95, 0.01, 5 * 2001, id="lone-node"),
+        pytest.param(list(range(1, 301)), 0.5, 10.0, 1 << 11, id="ladder"),
+    ])
+    def test_blocks_of_nodes_do_not_change_the_engine(self, counts, alpha, theta, cells, monkeypatch):
+        # node sums two or a few nodes at a time, numerators one or a few orders at
+        # a time, each bit for bit that of the whole grid
+        params, c_max = PriorParams(alpha, theta), max(counts)
+        want = pyp._ExactEngine(make_sketch(counts), params)
+        node_blocks = []
+
+        def spy(xs, axis=None):
+            if axis == 0:
+                node_blocks.append(xs.shape[1])
+            return logsumexp(xs, axis)
+
+        monkeypatch.setattr(pyp, "_PROFILE_CELLS", cells)
+        monkeypatch.setattr(pyp, "logsumexp", spy)
+        got = pyp._ExactEngine(make_sketch(counts), params)
+        # numpy adds a column in row order within a block of two or more nodes, but
+        # a lone column pairwise
+        assert min(node_blocks) >= 2
+        assert np.array_equal(got.log_profile(c_max), want.log_profile(c_max))
+        assert got.loglik() == want.loglik()
+
+    def test_worst_single_bucket_memory_is_bounded(self):
+        # [2000] at (0.95, 0.01): V = 2001 rows by some 6 400 nodes, 97 MB per
+        # whole-grid array; in blocks the engine and its profile peak near 70 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            pyp.pyp_report(make_sketch([2000]), params=PriorParams(0.95, 0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
     def test_order_is_read_from_the_profile_up_to_it(self):
         s = make_sketch([9, 4, 4, 1, 0], width=8)
@@ -982,6 +1023,21 @@ class TestWassersteinFit:
         assert np.array_equal(fit.surface, want)
         best = min(want.tolist(), key=lambda row: (row[2], row[0], row[1]))
         assert (fit.prior.alpha, fit.prior.theta) == (best[0], best[1])
+
+    def test_each_replicate_is_simulated_once(self, monkeypatch):
+        # rescoring reuses the replicates of the grid and refinement stages
+        rows = []
+
+        def spy(alphas, thetas, reps, u, *args):
+            rows.extend((a, t, u[r].tobytes()) for a, t, r in zip(alphas, thetas, reps))
+            return crp_bucket_counts(alphas, thetas, reps, u, *args)
+
+        monkeypatch.setattr(pyp, "crp_bucket_counts", spy)
+        s = Sketch(HashSpec.random(32, seed=4))
+        s.insert_ids(sample_pyp_sequence(PriorParams(0.5, 20.0), 1500, seed=3, with_weights=False).symbols)
+        fit = pyp.wasserstein_fit(s, alpha_grid=[0.0, 0.5, 0.9], theta_grid=[0.1, 20.0, 1e5], num_reps=2,
+                                  n_sim=300, refine_theta=2, rescore_top=3)
+        assert len(rows) == len(set(rows)) == len(fit.surface) * 2 + 3 * (4 - 1) * 2
 
 
 class TestReport:
