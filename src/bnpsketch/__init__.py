@@ -23,8 +23,8 @@ _EXPORTS = {
                  "sample_zipf_sequence"),
     "numkit": ("DomainError", "GfcTable", "digamma", "gfc_direct", "log_convolve",
                "log_rising_factorial", "logsumexp", "stirling_signless"),
-    "oracle": ("PartitionStats", "good_turing_coverage", "partition_stats", "raw_bnp_coverage",
-               "true_coverage", "true_coverage_profile"),
+    "oracle": ("PartitionStats", "good_turing_coverage", "ground_truth", "partition_stats",
+               "raw_bnp_coverage", "true_coverage", "true_coverage_profile"),
     "pyp": ("ExactCapError", "block_weights", "pyp_coverage_exact", "pyp_coverage_mc",
             "pyp_distinct", "pyp_freq_counts", "pyp_loglik", "pyp_report", "wasserstein_fit"),
     "report": ("EstimateReport", "FittedPrior"),

@@ -26,7 +26,7 @@ from .sketch import (
     sketch_merge,
     sketch_save,
 )
-from .tokenizers import load_dictionary, make_tokenizer
+from .tokenizers import make_tokenizer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,10 +77,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="draw synthetic data: tokens, sketch, truth")
     p.add_argument("--model", choices=["dp", "pyp", "zipf"], required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--exponent", type=float, default=None)
-    p.add_argument("--vocab", type=int, default=None)
+    p.add_argument("--theta", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--exponent", type=float)
+    p.add_argument("--vocab", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--width", type=int, default=128)
     p.add_argument("--seed", type=int, default=0)
@@ -117,9 +117,8 @@ def _open_out(path):
 
 
 def _cmd_sketch(args) -> int:
-    dictionary = load_dictionary(args.dictionary) if args.dictionary else None
     try:
-        tokenizer = make_tokenizer(args.tokenizer, dictionary)
+        tokenizer = make_tokenizer(args.tokenizer, args.dictionary)
     except ValueError as exc:
         raise UsageError(str(exc))
     spec = HashSpec.random(args.width, args.seed)
@@ -165,7 +164,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from . import oracle
-    from .genmodel import PriorParams, sample_pyp_sequence, sample_zipf_sequence
+    from .experiment import MODEL_KEYS, draw, model_grid
 
     emit = {part.strip() for part in args.emit.split(",") if part.strip()}
     unknown = emit - {"tokens", "sketch", "truth"}
@@ -173,43 +172,27 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"unknown emit targets: {sorted(unknown)}")
     if not emit:
         raise UsageError("--emit must name at least one of tokens, sketch, truth")
+    (params,) = model_grid(args.model, given(**{k: getattr(args, k, None) for k in MODEL_KEYS}))
     ss = np.random.SeedSequence(args.seed)
     s_data, s_hash = ss.spawn(2)
-    if args.model in ("dp", "pyp"):
-        if args.theta is None:
-            raise UsageError(f"--model {args.model} requires --theta")
-        alpha = 0.0 if args.model == "dp" else args.alpha
-        params = PriorParams(alpha=alpha, theta=args.theta)
-        sample = sample_pyp_sequence(params, args.n, s_data)
-        meta = {"model": args.model, "alpha": alpha, "theta": args.theta}
-    else:
-        if args.exponent is None or args.vocab is None:
-            raise UsageError("--model zipf requires --exponent and --vocab")
-        sample = sample_zipf_sequence(args.exponent, args.vocab, args.n, s_data)
-        meta = {"model": "zipf", "exponent": args.exponent, "vocab": args.vocab}
+    spec = HashSpec.random(args.width, s_hash) if "sketch" in emit else None
+    sample, sk = draw(args.model, params, args.n, s_data, spec)
 
     if "tokens" in emit:
         with open(args.output + ".tokens", "w", encoding="utf-8") as fh:
             for s in sample.symbols:
                 fh.write(f"{int(s)}\n")
-    if "sketch" in emit:
-        spec = HashSpec.random(args.width, s_hash)
-        sk = Sketch(spec)
-        sk.insert_ids(sample.symbols)
+    if sk is not None:
         sketch_save(sk, args.output + ".sketch")
     if "truth" in emit:
-        stats = oracle.partition_stats(sample)
-        r_top = int(stats.m.nonzero()[0].max()) if stats.k else 0
-        cov = oracle.true_coverage_profile(sample, r_top)
+        stats, cov = oracle.ground_truth(sample)
         truth = {
-            "model": meta,
+            "model": {"model": args.model, **params},
             "n": args.n,
             "seed": args.seed,
-            "coverage": {str(r): float(cov[r]) for r in range(r_top + 1)},
+            "coverage": {str(r): float(p) for r, p in enumerate(cov)},
             "distinct": stats.k,
-            "freq_counts": {
-                str(r): int(stats.m[r]) for r in range(1, r_top + 1) if stats.m[r]
-            },
+            "freq_counts": {str(r): int(m) for r, m in enumerate(stats.m[:cov.size]) if r and m},
         }
         with open(args.output + ".truth.json", "w", encoding="utf-8") as fh:
             json.dump(truth, fh, indent=2, sort_keys=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import time
 from dataclasses import dataclass, fields
@@ -21,10 +22,21 @@ import numpy as np
 
 from . import oracle
 from .genmodel import PriorParams, RawSample, sample_pyp_sequence, sample_zipf_sequence
-from .report import check_estimator, estimate, json_number
+from .report import SpecError, check_estimator, estimate, json_number
 from .sketch import HashSpec, Sketch, buckets_u64, prehash_tokens
 
-__all__ = ["ExperimentConfig", "csv_header", "run_experiment", "write_csv"]
+__all__ = ["ExperimentConfig", "csv_header", "draw", "model_grid", "run_experiment", "write_csv"]
+
+# each generating model: the keys it needs, whose lists (a single value is a list of one)
+# make its grid in this loop order; the keys it may also read; the parameters it fixes; its
+# cells' label.  A dp cell keeps alpha = 0.0, the pyp sampler's discount for the dp law.
+MODELS = {
+    "dp": (("theta",), ("sampler",), {"alpha": 0.0}, "dp"),
+    "pyp": (("alpha", "theta"), ("sampler",), {}, "pyp"),
+    "zipf": (("exponent", "vocab"), (), {}, "zipf(exponent={exponent},vocab={vocab})"),
+    "file": (("path",), ("tokenizer",), {}, "file({path})"),
+}
+MODEL_KEYS = tuple(dict.fromkeys(k for needs, reads, _, _ in MODELS.values() for k in needs + reads))
 
 _BASE_COLUMNS = [
     "model",
@@ -42,10 +54,53 @@ _BASE_COLUMNS = [
     "k_hat",
 ]
 _TAIL_COLUMNS = ["method", "mc_stderr", "wall_time"]
-# config fields of JSON integers, and of lists of JSON numbers; a bool or a
-# float (even 16.0) where an integer is read is refused, not cast
+# config fields of JSON integers, lists of JSON numbers and strings: a bool or a float (even
+# 16.0) is refused where an integer is read, and a number where a path is (open() takes fds)
 _INT_FIELDS = ("width", "repetitions", "seed", "vocab", "r_report", "workers")
 _FLOAT_LIST_FIELDS = ("theta", "alpha", "exponent")
+_STR_FIELDS = ("model", "path", "tokenizer", "sampler", "output")
+
+
+def model_grid(model: str, given: dict) -> list:
+    """The parameter sets of generating model ``model`` from the values ``given`` for its keys:
+    the product of its needed keys' lists, each with its fixed and other given keys.  An unknown
+    model, a needed key left out or empty and a key it does not read are refused."""
+    if model not in MODELS:
+        raise SpecError(f"unknown model {model!r}; choose {', '.join(MODELS)}")
+    needs, reads, fixed, _ = MODELS[model]
+    missing = [k for k in needs if given.get(k) in (None, [])]
+    if missing:
+        raise SpecError(f"model {model!r} needs {' and '.join(missing)}")
+    unread = given.keys() - {*needs, *reads}
+    if unread:
+        raise SpecError(f"model {model!r} does not read {sorted(unread)}")
+    lists = [given[k] if isinstance(given[k], list) else [given[k]] for k in needs]
+    other = {k: given[k] for k in reads if k in given}
+    return [fixed | dict(zip(needs, values)) | other for values in itertools.product(*lists)]
+
+
+def draw(model: str, params: dict, n: int, seed, spec: HashSpec | None = None):
+    """n observations of a generating model with parameters ``params`` (from ``model_grid``),
+    and their sketch under ``spec`` (None without one).  The sampler checks the parameters, so
+    a draw at n = 0 checks them without sampling."""
+    if model == "file":
+        tokens, weights = _load_file_weights(params["path"], params.get("tokenizer", "lines"))
+        idx = np.random.default_rng(seed).choice(len(tokens), size=n, p=weights)
+        sample = RawSample(idx.astype(np.int64), np.arange(len(tokens), dtype=np.int64), weights)
+        return sample, None if spec is None else _file_sketch(spec, tokens, idx)
+    if model == "zipf":
+        sample = sample_zipf_sequence(params["exponent"], params["vocab"], n, seed)
+    else:
+        sampler = params.get("sampler", "sticks")
+        if sampler not in ("sticks", "crp"):
+            raise SpecError(f"unknown sampler {sampler!r}; choose sticks or crp")
+        prior = PriorParams(params["alpha"], params["theta"])
+        sample = sample_pyp_sequence(prior, n, seed, with_weights=sampler == "sticks")
+    if spec is None:
+        return sample, None
+    sketch = Sketch(spec)
+    sketch.insert_ids(sample.symbols)
+    return sample, sketch
 
 
 @dataclass
@@ -56,13 +111,7 @@ class ExperimentConfig:
     repetitions: int
     seed: int
     estimator: dict
-    theta: list | None = None
-    alpha: list | None = None
-    exponent: list | None = None
-    vocab: int = 0
-    path: str | None = None
-    tokenizer: str = "lines"
-    sampler: str = "sticks"
+    model_params: dict  # the generating model's keys (MODEL_KEYS) as given
     r_report: int = 5
     timing: bool = False
     workers: int = 1
@@ -70,8 +119,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {"n" if f.name == "n_schedule" else f.name for f in fields(cls)}
-        unknown = set(d) - known
+        known = {"n" if f.name == "n_schedule" else f.name for f in fields(cls)} - {"model_params"}
+        unknown = set(d) - known - set(MODEL_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key in ("model", "n", "width", "repetitions", "seed", "estimator"):
@@ -84,7 +133,11 @@ class ExperimentConfig:
             kw[k] = json_number(k, kw[k], int)
         for k in kw.keys() & _FLOAT_LIST_FIELDS:
             kw[k] = [json_number(k, x, float) for x in kw[k]]
-        cfg = cls(**kw)
+        for k in kw.keys() & _STR_FIELDS:
+            if not isinstance(kw[k], str):
+                raise SpecError(f"{k} must be a string, got {kw[k]!r}")
+        model_params = {k: kw.pop(k) for k in MODEL_KEYS if k in kw}
+        cfg = cls(**kw, model_params=model_params)
         cfg.validate()
         return cfg
 
@@ -94,27 +147,16 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def validate(self) -> None:
-        if self.model not in ("dp", "pyp", "zipf", "file"):
-            raise ValueError(f"unknown model {self.model!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if not self.n_schedule or self.n_schedule[0] < 0:
+            raise ValueError("n schedule must be nonempty and start at n >= 0")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ValueError("n schedule must be strictly increasing")
-        if not self.n_schedule:
-            raise ValueError("n schedule must be nonempty")
-        if self.model == "dp" and not self.theta:
-            raise ValueError("dp model needs a theta list")
-        if self.model == "pyp" and (not self.theta or not self.alpha):
-            raise ValueError("pyp model needs theta and alpha lists")
-        if self.model == "zipf" and (not self.exponent or self.vocab < 1):
-            raise ValueError("zipf model needs an exponent list and vocab >= 1")
-        if self.model == "file" and not self.path:
-            raise ValueError("file model needs a path")
-        if self.sampler not in ("sticks", "crp"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.r_report < 0:
             raise ValueError("r_report must be >= 0")
-        for _, gparams, _ in self.cells():
+        for _, gparams, _ in self.cells()[:: len(self.n_schedule)]:  # one per parameter set
+            draw(self.model, gparams, 0, 0)  # its sampler's own checks, sampling nothing
             self._estimator_spec(gparams)
 
     def _estimator_spec(self, gparams: dict) -> dict:
@@ -123,23 +165,8 @@ class ExperimentConfig:
 
     def cells(self) -> list:
         """Grid cells: (model label, generator params, n)."""
-        combos = []
-        if self.model == "dp":
-            combos = [("dp", {"alpha": 0.0, "theta": t}) for t in self.theta]
-        elif self.model == "pyp":
-            combos = [
-                ("pyp", {"alpha": a, "theta": t}) for a in self.alpha for t in self.theta
-            ]
-        elif self.model == "zipf":
-            combos = [
-                (f"zipf(exponent={e},vocab={self.vocab})", {"exponent": e, "vocab": self.vocab})
-                for e in self.exponent
-            ]
-        else:
-            combos = [(f"file({self.path})", {"path": self.path})]
-        return [
-            (label, params, n) for label, params in combos for n in self.n_schedule
-        ]
+        grid = model_grid(self.model, self.model_params)
+        return [(MODELS[self.model][3].format(**p), p, n) for p in grid for n in self.n_schedule]
 
 
 def csv_header(r_report: int) -> list:
@@ -189,23 +216,9 @@ def _run_cell(args):
     spec = HashSpec.random(cfg.width, s_hash)
 
     t0 = time.perf_counter()
-    if cfg.model == "file":
-        tokens, weights = _load_file_weights(cfg.path, cfg.tokenizer)
-        idx = np.random.default_rng(s_data).choice(len(tokens), size=n, p=weights)
-        sample = RawSample(idx.astype(np.int64), np.arange(len(tokens), dtype=np.int64), weights)
-        sketch = _file_sketch(spec, tokens, idx)
-    else:
-        if cfg.model == "zipf":
-            sample = sample_zipf_sequence(gparams["exponent"], gparams["vocab"], n, s_data)
-        else:
-            sticks = cfg.sampler == "sticks"
-            sample = sample_pyp_sequence(PriorParams(**gparams), n, s_data, with_weights=sticks)
-        sketch = Sketch(spec)
-        sketch.insert_ids(sample.symbols)
-    truth = [None] * (cfg.r_report + 1)
-    if sample.has_weights:
-        truth = oracle.true_coverage_profile(sample, cfg.r_report).tolist()
-    k_true = oracle.partition_stats(sample).k
+    sample, sketch = draw(cfg.model, gparams, n, s_data, spec)
+    stats, profile = oracle.ground_truth(sample, cfg.r_report)
+    truth = [None] * (cfg.r_report + 1) if profile is None else profile.tolist()
 
     report = estimate(sketch, cfg._estimator_spec(gparams), seed=s_est)
     wall = time.perf_counter() - t0
@@ -213,7 +226,7 @@ def _run_cell(args):
     row = [
         label, gparams.get("alpha"), gparams.get("theta"), n, cfg.width, rep, seed_id,
         truth[0], report.coverage.get(0), report.prior.theta, report.prior.alpha,
-        k_true, report.distinct,
+        stats.k, report.distinct,
     ]
     for r in range(1, cfg.r_report + 1):
         row += [truth[r], report.coverage.get(r)]

@@ -16,6 +16,7 @@ from .numkit import DomainError
 __all__ = [
     "PartitionStats",
     "good_turing_coverage",
+    "ground_truth",
     "partition_stats",
     "raw_bnp_coverage",
     "true_coverage",
@@ -36,29 +37,36 @@ class PartitionStats:
     n: int
 
 
-def partition_stats(sample: RawSample) -> PartitionStats:
-    """Tabulate symbol frequencies of the stream."""
-    symbols = np.asarray(sample.symbols)
-    n = int(symbols.size)
-    if n == 0:
-        return PartitionStats(k=0, m=np.zeros(1, dtype=np.int64), n=0)
-    _, freqs = np.unique(symbols, return_counts=True)
+def ground_truth(sample: RawSample, r_max: int | None = None):
+    """The stream's ``PartitionStats`` and, from the same tabulation, its true coverage masses
+    for r = 0..r_max (default: the largest frequency), or None for a sample with no atom weights.
+    Sorted stably by frequency, each order's weights sum in symbol order, as under a mask."""
+    ids, freqs = np.unique(np.asarray(sample.symbols), return_counts=True)
+    n = int(freqs.sum())
     m = np.bincount(freqs, minlength=n + 1).astype(np.int64)
     m[0] = 0
-    return PartitionStats(k=int(freqs.size), m=m, n=n)
-
-
-def _observed_weights(sample: RawSample):
+    stats = PartitionStats(k=int(freqs.size), m=m, n=n)
     if not sample.has_weights:
-        raise DomainError("true coverage needs a sample with atom weights")
-    ids, freqs = np.unique(sample.symbols, return_counts=True)
+        return stats, None
     pos = np.searchsorted(sample.atom_ids, ids)
     if ids.size and (
         pos.max(initial=-1) >= sample.atom_ids.size
         or not np.array_equal(sample.atom_ids[pos], ids)
     ):
         raise DomainError("sample contains a symbol with no recorded weight")
-    return sample.atom_weights[pos], freqs
+    w = sample.atom_weights[pos]
+    out = np.zeros(int(freqs.max(initial=0) if r_max is None else r_max) + 1)
+    out[0] = 1.0 - w.sum()
+    order = np.argsort(freqs, kind="stable")
+    rs, starts = np.unique(freqs[order], return_index=True)
+    for r, part in zip(rs[rs < out.size], np.split(w[order], starts[1:])):
+        out[r] = part.sum()
+    return stats, out
+
+
+def partition_stats(sample: RawSample) -> PartitionStats:
+    """Tabulate symbol frequencies of the stream."""
+    return ground_truth(RawSample(sample.symbols))[0]  # no weights: no profile
 
 
 def true_coverage(sample: RawSample, r: int) -> float:
@@ -70,20 +78,16 @@ def true_coverage(sample: RawSample, r: int) -> float:
     r = int(r)
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    w, freqs = _observed_weights(sample)
-    if r == 0:
-        return float(1.0 - w.sum())
-    return float(w[freqs == r].sum())
+    profile = true_coverage_profile(sample)
+    return float(profile[r]) if r < profile.size else 0.0
 
 
-def true_coverage_profile(sample: RawSample, r_max: int) -> np.ndarray:
-    """Vector of true coverage masses for r = 0..r_max."""
-    w, freqs = _observed_weights(sample)
-    out = np.zeros(int(r_max) + 1)
-    out[0] = 1.0 - w.sum()
-    for r in range(1, out.size):
-        out[r] = w[freqs == r].sum()
-    return out
+def true_coverage_profile(sample: RawSample, r_max: int | None = None) -> np.ndarray:
+    """Vector of true coverage masses for r = 0..r_max (default: the largest frequency)."""
+    profile = ground_truth(sample, r_max)[1]
+    if profile is None:
+        raise DomainError("true coverage needs a sample with atom weights")
+    return profile
 
 
 def raw_bnp_coverage(stats: PartitionStats, n: int, params: PriorParams, r: int) -> float:

@@ -17,9 +17,9 @@ __all__ = ["EstimateReport", "FittedPrior"]
 
 
 class SpecError(DomainError):
-    """A spec no prior reads: an unknown prior, fit, method or debias mode, a key
-    the prior does not read, fit "none" without its parameters, or a value of
-    the wrong JSON type.  A value out of its range is a plain DomainError."""
+    """A spec no prior or generating model reads: an unknown prior, fit, method, debias mode,
+    model or sampler, a key it does not read, one it needs left out, or a value of the wrong
+    JSON type.  A value out of its range is a plain DomainError."""
 
 
 # per prior, the default first: fit modes (the default first), keys read past prior and fit,

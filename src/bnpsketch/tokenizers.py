@@ -98,15 +98,19 @@ def tokenize_ngram(stream, n: int, dictionary=None):
 
 
 def make_tokenizer(spec: str, dictionary=None):
-    """Return a callable mapping a binary stream to an iterator of tokens."""
+    """Return a callable mapping a binary stream to an iterator of tokens.  ``dictionary``, the
+    path of a word list to keep, is read by words and ngram:N only; the others refuse it unread."""
     name, arg = parse_tokenizer_spec(spec)
+    if dictionary is not None and name in ("lines", "kmer"):
+        raise ValueError(f"tokenizer {spec!r} reads no dictionary")
+    words = None if dictionary is None else load_dictionary(dictionary)
     if name == "lines":
         return tokenize_lines
     if name == "words":
-        return lambda stream: tokenize_words(stream, dictionary)
+        return lambda stream: tokenize_words(stream, words)
     if name == "kmer":
         return lambda stream: tokenize_kmer(stream, arg)
-    return lambda stream: tokenize_ngram(stream, arg, dictionary)
+    return lambda stream: tokenize_ngram(stream, arg, words)
 
 
 def load_dictionary(path) -> set:

@@ -99,6 +99,19 @@ class TestSketchCommand:
         assert sketch_load(out).n == 3
 
 
+    def test_dictionary_refused_where_the_tokenizer_ignores_it(self, tmp_path):
+        inp = tmp_path / "t.txt"
+        inp.write_bytes(b"ACGTAC ACGT\n")
+        out = tmp_path / "o.sketch"
+        # the word list does not exist: refusing it unread is a usage error, reading it a data one
+        missing = str(tmp_path / "no-such-words.txt")
+        for tokenizer, code in (("lines", cli.EXIT_USAGE), ("kmer:3", cli.EXIT_USAGE),
+                                ("words", cli.EXIT_DATA), ("ngram:2", cli.EXIT_DATA)):
+            assert run_cli("sketch", "--input", str(inp), "--width", "4", "--tokenizer", tokenizer,
+                           "--dictionary", missing, "--output", str(out)) == code, tokenizer
+        assert not out.exists()
+
+
 class TestEstimateCommand:
     @pytest.fixture
     def sketch_file(self, tmp_path):
@@ -382,6 +395,107 @@ class TestSimulateCommand:
         assert rebuilt == emitted
 
 
+# simulate's flags per model: the ones it needs, with values it accepts
+SIMULATE_NEEDS = {"dp": {"theta": "10"}, "pyp": {"alpha": "0.5", "theta": "10"},
+                  "zipf": {"exponent": "1.2", "vocab": "50"}}
+SIMULATE_FLAGS = {"theta": "3", "alpha": "0.7", "exponent": "1.2", "vocab": "50"}
+# (model, flags, exit code): each flag a model does not read, each needed flag left out, and
+# values out of range, all refused before a file is written
+SIMULATE_REFUSALS = [
+    (model, dict(needs, **{flag: value}), cli.EXIT_USAGE)
+    for model, needs in SIMULATE_NEEDS.items()
+    for flag, value in SIMULATE_FLAGS.items() if flag not in needs
+] + [
+    (model, {k: v for k, v in needs.items() if k != left_out}, cli.EXIT_USAGE)
+    for model, needs in SIMULATE_NEEDS.items() for left_out in needs
+] + [
+    ("dp", {"theta": "10", "alpha": "0"}, cli.EXIT_USAGE),
+    ("dp", {"theta": "-5"}, cli.EXIT_NUMERIC),
+    ("pyp", {"alpha": "1.5", "theta": "10"}, cli.EXIT_NUMERIC),
+    ("zipf", {"exponent": "-1", "vocab": "50"}, cli.EXIT_NUMERIC),
+    ("zipf", {"exponent": "1.2", "vocab": "0"}, cli.EXIT_NUMERIC),
+]
+
+
+@pytest.mark.parametrize("model,flags,code", SIMULATE_REFUSALS, ids=str)
+def test_simulate_refuses_before_writing(model, flags, code, tmp_path):
+    argv = [x for flag, value in flags.items() for x in ("--" + flag, value)]
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--model", model, *argv, "--n", "20", "--output", str(out)) == code
+    assert list(tmp_path.iterdir()) == []
+
+
+# a config's generating-model keys per model: the ones it needs and the ones it may also read,
+# with values that load ("TOKENS" is a token file)
+CONFIG_MODELS = {
+    "dp": ({"theta": [10.0]}, {"sampler": "crp"}),
+    "pyp": ({"alpha": [0.5], "theta": [10.0]}, {"sampler": "crp"}),
+    "zipf": ({"exponent": [1.2], "vocab": 50}, {}),
+    "file": ({"path": "TOKENS"}, {"tokenizer": "words"}),
+}
+CONFIG_KEYS = {k: v for needs, reads in CONFIG_MODELS.values() for k, v in (needs | reads).items()}
+# (model, keys): each key a model does not read, each needed key left out, values out of range
+CONFIG_REFUSALS = [
+    (model, needs | {key: value})
+    for model, (needs, reads) in CONFIG_MODELS.items()
+    for key, value in CONFIG_KEYS.items() if key not in needs | reads
+] + [
+    (model, {k: v for k, v in needs.items() if k != left_out})
+    for model, (needs, _) in CONFIG_MODELS.items() for left_out in needs
+] + [
+    ("pyp", {"alpha": [0.5], "theta": [10.0], "tokenizer": "kmer:0"}),
+    ("dp", {"theta": [-5.0]}),
+    ("dp", {"theta": [10.0, 0.0]}),
+    ("dp", {"theta": []}),
+    ("dp", {"theta": [10.0], "sampler": "gibbs"}),
+    ("pyp", {"alpha": [0.5, 1.5], "theta": [10.0]}),
+    ("pyp", {"alpha": [0.5], "theta": [-1.0]}),
+    ("zipf", {"exponent": [-1.0], "vocab": 50}),
+    ("zipf", {"exponent": [1.2], "vocab": 0}),
+    ("file", {"path": "TOKENS", "tokenizer": "kmer:0"}),
+    ("file", {"path": "TOKENS", "tokenizer": 5}),
+    ("file", {"path": 1}),
+    ("dp", {"theta": [10.0], "output": 1}),
+    ("file", {"path": "no-such-file.txt"}),
+    ("zeta", {"theta": [10.0]}),
+]
+
+
+class TestModelTable:
+    """simulate and experiment configs read one generating-model table, and refuse what it does."""
+
+    BASE = {"n": [10, 20], "width": 16, "repetitions": 1, "seed": 99, "r_report": 2,
+            "estimator": {"prior": "dp", "fit": "eb-mle"}}
+
+    @staticmethod
+    def config(model, keys, tmp_path):
+        data = tmp_path / "tokens.txt"
+        data.write_bytes(b"".join(f"ip{i % 23} x{i % 5}\n".encode() for i in range(200)))
+        keys = {k: str(data) if v == "TOKENS" else v for k, v in keys.items()}
+        return dict(TestModelTable.BASE, model=model, **keys)
+
+    @pytest.mark.parametrize("model,keys", CONFIG_REFUSALS, ids=str)
+    def test_config_refused_at_load(self, model, keys, tmp_path, capsys, monkeypatch):
+        from bnpsketch import experiment
+
+        monkeypatch.setattr(experiment, "run_experiment", _must_not_run)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(self.config(model, keys, tmp_path)))
+        assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad experiment config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("model", sorted(CONFIG_MODELS))
+    def test_every_key_a_model_reads_loads_and_runs(self, model, tmp_path):
+        needs, reads = CONFIG_MODELS[model]
+        cfg = ExperimentConfig.from_dict(self.config(model, needs | reads, tmp_path))
+        header, *rows = csv.reader(io.StringIO(experiment_csv(cfg)))
+        assert len(rows) == len(cfg.cells()) == 2
+        # a dp cell is labelled by its model and keeps the discount 0.0 of the dp law
+        first = dict(zip(header, rows[0]))
+        assert first["model"].startswith(model) and (model != "dp" or first["alpha_true"] == "0.0")
+
+
 class TestFitCommand:
     def test_eb_mle_output(self, tmp_path, capsys):
         from bnpsketch.genmodel import sample_sketch_dirmult
@@ -519,7 +633,8 @@ class TestExperimentCommand:
 
     def test_bad_estimator_keys_are_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        zipf = dict(self.SMOKE, model="zipf", exponent=[1.2], vocab=50)
+        zipf = {k: v for k, v in self.SMOKE.items() if k != "theta"} | {
+            "model": "zipf", "exponent": [1.2], "vocab": 50}
         configs = [dict(self.SMOKE, estimator=estimator) for estimator in (
             {"prior": "pyp", "metod": "mc"}, {"prior": "Dp"}, {"prior": "mc"},
             # keys the dp prior never reads, fit modes the prior lacks, fit 'none' without
@@ -646,7 +761,8 @@ SPECS = [
 class TestEstimatorTable:
     """The CLI and experiment configs read one estimator table and refuse the same specs."""
 
-    ZIPF = dict(TestExperimentCommand.SMOKE, model="zipf", exponent=[1.2], vocab=50)
+    ZIPF = {k: v for k, v in TestExperimentCommand.SMOKE.items() if k != "theta"} | {
+        "model": "zipf", "exponent": [1.2], "vocab": 50}
 
     @pytest.mark.parametrize("spec,refused", SPECS, ids=str)
     def test_cli_and_config_agree(self, spec, refused, tmp_path, monkeypatch):

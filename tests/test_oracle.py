@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnpsketch import oracle
-from bnpsketch.genmodel import PriorParams, RawSample, sample_pyp_sequence
+from bnpsketch.experiment import draw
+from bnpsketch.genmodel import PriorParams, RawSample, sample_pyp_sequence, sample_zipf_sequence
 from bnpsketch.numkit import DomainError
 
 
@@ -59,6 +60,49 @@ class TestTrueCoverage:
     def test_requires_weights(self):
         with pytest.raises(DomainError):
             oracle.true_coverage(RawSample(symbols=np.array([1, 2])), 0)
+
+
+def per_order_scan(sample, r_max):
+    """The reference profile: one mask over the observed symbols' weights per order."""
+    ids, freqs = np.unique(sample.symbols, return_counts=True)
+    w = sample.atom_weights[np.searchsorted(sample.atom_ids, ids)]
+    out = np.zeros(r_max + 1)
+    out[0] = 1.0 - w.sum()
+    for r in range(1, r_max + 1):
+        out[r] = w[freqs == r].sum()
+    return out
+
+
+class TestGroundTruth:
+    @pytest.fixture(params=["sticks", "dp-sticks", "zipf", "file", "empty"])
+    def sample(self, request, tmp_path):
+        if request.param == "file":
+            data = tmp_path / "tokens.txt"
+            data.write_bytes(b"".join(f"w{i % 97} w{i % 13}\n".encode() for i in range(3000)))
+            return draw("file", {"path": str(data), "tokenizer": "words"}, 4000, 6)[0]
+        return {
+            "sticks": lambda: sample_pyp_sequence(PriorParams(0.5, 10.0), 5000, seed=3),
+            "dp-sticks": lambda: sample_pyp_sequence(PriorParams(0.0, 50.0), 5000, seed=4),
+            "zipf": lambda: sample_zipf_sequence(1.1, 2000, 20_000, seed=5),
+            "empty": lambda: sample_zipf_sequence(1.5, 10, 0, seed=1),
+        }[request.param]()
+
+    def test_grouped_profile_is_the_per_order_scan_bit_for_bit(self, sample):
+        top = int(np.unique(sample.symbols, return_counts=True)[1].max(initial=0))
+        for r_max in (top // 2, top, top + 3):
+            ref = per_order_scan(sample, r_max)
+            stats, profile = oracle.ground_truth(sample, r_max)
+            assert profile.tobytes() == ref.tobytes()
+            assert oracle.true_coverage_profile(sample, r_max).tobytes() == ref.tobytes()
+            assert [oracle.true_coverage(sample, r) for r in range(r_max + 1)] == ref.tolist()
+        want = oracle.partition_stats(sample)
+        assert (stats.k, stats.n) == (want.k, want.n) and np.array_equal(stats.m, want.m)
+        assert oracle.ground_truth(sample)[1].tobytes() == per_order_scan(sample, top).tobytes()
+
+    def test_no_profile_without_weights(self):
+        smp = sample_pyp_sequence(PriorParams(0.5, 10.0), 300, seed=2, with_weights=False)
+        stats, profile = oracle.ground_truth(smp, 4)
+        assert profile is None and stats.k == oracle.partition_stats(smp).k
 
 
 class TestRawCoverageEstimator:
