@@ -19,6 +19,7 @@ from .numkit import DomainError
 from .report import (CHOICES, ORDER_FIELDS, PRIORS, SPEC_KEYS, EstimateReport, SpecError,
                      check_estimator, estimate, given)
 from .sketch import (
+    MAX_WIDTH,
     HashSpec,
     Sketch,
     SketchFormatError,
@@ -43,14 +44,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_in(lo: int, hi: float, rule: str):
+    """An argparse type: an integer in [lo, hi]; argparse names the flag of a value refused."""
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid integer value"
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return integer
+
+
+_SEED = _int_in(0, float("inf"), "an integer >= 0")
+_WIDTH = _int_in(1, MAX_WIDTH, "an integer in [1, 2^24]")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bnpsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sketch", help="hash a token stream into a sketch file")
     p.add_argument("--input", default="-", help="input path, or - for stdin")
-    p.add_argument("--width", type=int, required=True, help="number of buckets J")
-    p.add_argument("--seed", type=int, default=0, help="seed for the hash draw")
+    p.add_argument("--width", type=_WIDTH, required=True, help="number of buckets J")
+    p.add_argument("--seed", type=_SEED, default=0, help="seed for the hash draw")
     p.add_argument(
         "--tokenizer",
         default="lines",
@@ -71,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-max", type=int)
     p.add_argument("--mc-samples", type=int)
     p.add_argument("--debias", choices=CHOICES["debias"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default="-")
 
@@ -82,8 +98,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--exponent", type=float)
     p.add_argument("--vocab", type=int)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--width", type=_WIDTH, default=128)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument(
         "--emit",
         default="tokens,sketch,truth",
@@ -94,10 +110,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit prior parameters from a sketch")
     p.add_argument("--sketch", required=True)
     p.add_argument("--fit", choices=[fit for fit in fits if fit != "none"], default="eb-mle")
-    p.add_argument("--num-reps", type=int, default=5)
-    p.add_argument("--n-sim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--surface-out", default=None, help="CSV path for the distance surface")
+    # read by eb-wasserstein only; left unset, wasserstein_fit's defaults hold
+    p.add_argument("--num-reps", type=int)
+    p.add_argument("--n-sim", type=int)
+    p.add_argument("--seed", type=_SEED)
+    p.add_argument("--surface-out", help="CSV path for the distance surface")
 
     p = sub.add_parser("merge", help="merge sketches built with one hash spec")
     p.add_argument("inputs", nargs="+", help="sketch files")
@@ -201,6 +218,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    kw = given(num_reps=args.num_reps, n_sim=args.n_sim, seed=args.seed)
+    if args.fit == "eb-mle" and (kw or args.surface_out is not None):
+        raise UsageError("--fit eb-mle reads none of --num-reps, --n-sim, --seed, --surface-out")
     sk = sketch_load(args.sketch)
     if args.fit == "eb-mle":
         theta, boundary = dp.dp_fit_theta(sk)
@@ -208,7 +228,7 @@ def _cmd_fit(args) -> int:
         return EXIT_OK
     from . import pyp
 
-    result = pyp.wasserstein_fit(sk, num_reps=args.num_reps, n_sim=args.n_sim, seed=args.seed)
+    result = pyp.wasserstein_fit(sk, **kw)
     print(
         json.dumps(
             {
@@ -279,10 +299,7 @@ def main(argv=None) -> int:
     except (UsageError, SpecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SketchFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (SketchFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OverflowError as exc:
@@ -294,8 +311,6 @@ def main(argv=None) -> int:
         kind = "numerical-domain error" if isinstance(exc, DomainError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if isinstance(exc, DomainError) else EXIT_DATA
-    except SystemExit:
-        raise
 
 
 if __name__ == "__main__":

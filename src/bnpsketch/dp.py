@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from .numkit import DomainError, digamma, log_gamma
-from .report import EstimateReport, FittedPrior, check_estimator, check_value, freq_counts_from, given
+from .report import (EstimateReport, FittedPrior, check_estimator, check_freq_order, check_value,
+                     freq_counts_from, given)
 from .sketch import Sketch, count_multiset
 
 __all__ = [
@@ -37,17 +38,6 @@ __all__ = [
 _HARMONIC_CUTOFF = 1_000_000
 
 DEFAULT_THETA_BOUNDS = (1e-3, 1e9)
-_MAX_ORDERS = 1 << 24  # coverage orders of one profile, at most: 128 MB of float64
-
-
-def _check_orders(r_max: int) -> None:
-    """Refuse a profile of more than ``_MAX_ORDERS`` orders, before anything is allocated."""
-    if r_max >= _MAX_ORDERS:
-        raise DomainError(
-            f"r_max = {r_max} asks for more than {_MAX_ORDERS} coverage orders; "
-            "pass a smaller r_max (CLI: --r-max)"
-        )
-
 
 # The private evaluators below read the count multiset (vals, mult) from
 # ``count_multiset``, so a caller that needs several quantities groups once.
@@ -81,9 +71,6 @@ def _coverage(vals, mult, n, width, theta, r_max) -> np.ndarray:
     sum min(c, r_max) <= n elements: a single order r costs sum min(c, r)
     and equals that order of any longer profile bit for bit.
     """
-    if r_max < 0:
-        raise DomainError(f"coverage order must be >= 0, got {r_max}")
-    _check_orders(r_max)
     out = np.zeros(r_max + 1)
     out[0] = theta / (theta + n)
     z = theta / width
@@ -180,8 +167,7 @@ def dp_coverage(sketch: Sketch, theta, r: int) -> float:
     profile 0..r, so it costs sum over counts of min(c, r), not O(U), and
     equals ``dp_report``'s order r bit for bit.
     """
-    theta = check_value("theta", theta)
-    r = int(r)
+    r, theta = check_value("r", r), check_value("theta", theta)
     vals, mult = count_multiset(sketch.counts)
     # the profile stops at the largest count: a larger r reads zero
     profile = _coverage(vals, mult, sketch.n, sketch.spec.width, theta, min(r, int(vals[-1])))
@@ -190,17 +176,14 @@ def dp_coverage(sketch: Sketch, theta, r: int) -> float:
 
 def dp_coverage_profile(sketch: Sketch, theta, r_max: int) -> np.ndarray:
     """Coverage estimates for every order r = 0..r_max."""
-    theta = check_value("theta", theta)
+    r_max, theta = check_value("r_max", r_max), check_value("theta", theta)
     vals, mult = count_multiset(sketch.counts)
-    return _coverage(vals, mult, sketch.n, sketch.spec.width, theta, int(r_max))
+    return _coverage(vals, mult, sketch.n, sketch.spec.width, theta, r_max)
 
 
 def dp_freq_counts(sketch: Sketch, theta, r: int) -> float:
     """Estimated number of distinct symbols with frequency r >= 1."""
-    r = int(r)
-    if r < 1:
-        raise DomainError(f"frequency order must be >= 1, got {r}")
-    theta = check_value("theta", theta)
+    r, theta = check_freq_order(r), check_value("theta", theta)
     return freq_counts_from({r: dp_coverage(sketch, theta, r)}, sketch.n, theta)[r]
 
 
@@ -242,21 +225,21 @@ def dp_report(
 
     fit = "none" uses the supplied theta; fit = "eb-mle" maximizes the sketch
     marginal likelihood.  r_max defaults to the largest bucket count (beyond
-    which every estimate is exactly zero); more than ``_MAX_ORDERS`` = 2^24
-    orders are refused before anything is allocated.
+    which every estimate is exactly zero); either is checked by the table's
+    r_max rule, which refuses 2^24 orders or more before anything is allocated.
     """
     t0 = time.perf_counter()
     spec = check_estimator({"prior": "dp", "fit": fit, **given(theta=theta, r_max=r_max)})
+    vals, mult = count_multiset(sketch.counts)
+    r_max = check_value("r_max", int(vals[-1])) if spec["r_max"] is None else spec["r_max"]
     if spec["fit"] == "eb-mle":
         theta_hat, boundary = dp_fit_theta(sketch)
         provenance = "eb-mle"
     else:
         theta_hat, boundary, provenance = spec["theta"], False, "given"
-    vals, mult = count_multiset(sketch.counts)
     n, width = sketch.n, sketch.spec.width
-    r_max = int(vals[-1]) if spec["r_max"] is None else spec["r_max"]
     coverage = dict(enumerate(_coverage(vals, mult, n, width, theta_hat, r_max).tolist()))
-    report = EstimateReport(
+    return EstimateReport(
         n=n,
         width=width,
         prior=FittedPrior(alpha=0.0, theta=theta_hat, provenance=provenance, boundary_hit=boundary),
@@ -267,4 +250,3 @@ def dp_report(
         mc_stderr=None,
         wall_time=time.perf_counter() - t0,
     )
-    return report

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import oracle
 from .genmodel import PriorParams, RawSample, sample_pyp_sequence, sample_zipf_sequence
-from .report import SpecError, check_estimator, estimate, json_number
+from .report import SpecError, check_estimator, check_value, estimate, json_number
 from .sketch import HashSpec, Sketch, buckets_u64, prehash_tokens
 
 __all__ = ["ExperimentConfig", "csv_header", "draw", "model_grid", "run_experiment", "write_csv"]
@@ -153,8 +153,10 @@ class ExperimentConfig:
             raise ValueError("n schedule must be nonempty and start at n >= 0")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ValueError("n schedule must be strictly increasing")
-        if self.r_report < 0:
-            raise ValueError("r_report must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        HashSpec.random(self.width, 0)  # HashSpec's own width check
+        check_value("r_max", self.r_report)  # the truth profile's orders, under the r_max rule
         for _, gparams, _ in self.cells()[:: len(self.n_schedule)]:  # one per parameter set
             draw(self.model, gparams, 0, 0)  # its sampler's own checks, sampling nothing
             self._estimator_spec(gparams)

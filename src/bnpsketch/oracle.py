@@ -12,6 +12,7 @@ import numpy as np
 
 from .genmodel import PriorParams, RawSample
 from .numkit import DomainError
+from .report import check_value
 
 __all__ = [
     "PartitionStats",
@@ -40,7 +41,9 @@ class PartitionStats:
 def ground_truth(sample: RawSample, r_max: int | None = None):
     """The stream's ``PartitionStats`` and, from the same tabulation, its true coverage masses
     for r = 0..r_max (default: the largest frequency), or None for a sample with no atom weights.
-    Sorted stably by frequency, each order's weights sum in symbol order, as under a mask."""
+    Sorted stably by frequency, each order's weights sum in symbol order, as under a mask.
+    A given r_max is checked by the estimator table's rule; the default is not."""
+    r_max = None if r_max is None else check_value("r_max", r_max)
     ids, freqs = np.unique(np.asarray(sample.symbols), return_counts=True)
     n = int(freqs.sum())
     m = np.bincount(freqs, minlength=n + 1).astype(np.int64)
@@ -55,7 +58,7 @@ def ground_truth(sample: RawSample, r_max: int | None = None):
     ):
         raise DomainError("sample contains a symbol with no recorded weight")
     w = sample.atom_weights[pos]
-    out = np.zeros(int(freqs.max(initial=0) if r_max is None else r_max) + 1)
+    out = np.zeros((int(freqs.max(initial=0)) if r_max is None else r_max) + 1)
     out[0] = 1.0 - w.sum()
     order = np.argsort(freqs, kind="stable")
     rs, starts = np.unique(freqs[order], return_index=True)
@@ -75,9 +78,7 @@ def true_coverage(sample: RawSample, r: int) -> float:
     r = 0 gives the missing mass, 1 minus the mass of everything observed;
     exact (truncation-free) whenever the sample records exact atom weights.
     """
-    r = int(r)
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    r = check_value("r", r)
     profile = true_coverage_profile(sample)
     return float(profile[r]) if r < profile.size else 0.0
 
@@ -97,10 +98,7 @@ def raw_bnp_coverage(stats: PartitionStats, n: int, params: PriorParams, r: int)
     r >= 1: the full-data counterpart that the sketch estimators collapse to
     under a lossless hash.
     """
-    r = int(r)
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    n = int(n)
+    r, n = check_value("r", r), int(n)
     if r == 0:
         return (params.theta + stats.k * params.alpha) / (params.theta + n)
     m_r = int(stats.m[r]) if r < stats.m.size else 0
@@ -112,9 +110,7 @@ def good_turing_coverage(stats: PartitionStats, r: int) -> float:
 
     Comparison column only; never applied to sketched data.
     """
-    r = int(r)
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    r = check_value("r", r)
     if stats.n == 0:
         return 1.0 if r == 0 else 0.0
     m_next = int(stats.m[r + 1]) if r + 1 < stats.m.size else 0

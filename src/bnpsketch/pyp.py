@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import _check_orders, dp_report
+from .dp import dp_report
 from .genmodel import PriorParams, crp_bucket_counts, distinct_chain, rng_from
 from .numkit import (
     _LGAMMA_SWITCH,
@@ -34,8 +34,8 @@ from .numkit import (
     log_rising_factorial_prefix,
     logsumexp,
 )
-from .report import (DEFAULTS, EstimateReport, FittedPrior, check_estimator, check_value, distinct_from,
-                     freq_counts_from, given)
+from .report import (DEFAULTS, EstimateReport, FittedPrior, check_estimator, check_freq_order,
+                     check_value, distinct_from, freq_counts_from, given)
 from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
 
 __all__ = [
@@ -199,10 +199,8 @@ class _ExactEngine:
 
         Count c adds logsumexp_i g_{c-r}[i] + numerator[k][i] to orders r <= c.
         """
-        if r_max < 0:
-            raise DomainError(f"r must be >= 0, got {r_max}")
         theta, alpha, w = self.params.theta, self.params.alpha, self.weights
-        top = min(int(r_max), self.c_max)
+        top = min(r_max, self.c_max)
         # the rows c - r of every r >= 1, stacked once and cut at the longest numerator
         cols_max = max((num.size for num in self.numerator), default=0)
         grid = np.full((self.c_max, cols_max), -np.inf)
@@ -212,7 +210,7 @@ class _ExactEngine:
         log_pre = log_gamma(1.0 - alpha + np.arange(top + 1)) - log_gamma(1.0 - alpha)
         log_pre = math.log(theta / self.width) + log_pre - math.log(theta + self.n) - self.log_den
         log_fact = log_gamma(np.arange(self.c_max + 1) + 1.0)  # log u!, read as a table
-        out = np.full(int(r_max) + 1, -np.inf)
+        out = np.full(r_max + 1, -np.inf)
         # at r = 0 every bucket keeps its row: the full numerator, J times
         out[0] = log_pre[0] + math.log(self.width) + self.log_num_full
         for c, m, num in zip(w.values.tolist(), w.multiplicity.tolist(), self.numerator):
@@ -243,15 +241,13 @@ def pyp_loglik(sketch: Sketch, params: PriorParams) -> float:
 
 def pyp_coverage_exact(sketch: Sketch, params: PriorParams, r: int) -> float:
     """Exact estimated mass of symbols with frequency r: order r of the profile 0..r."""
-    r, engine = int(r), _ExactEngine(sketch, params)
+    r, engine = check_value("r", r), _ExactEngine(sketch, params)
     return float(np.exp(engine.log_profile(min(r, engine.c_max))[r])) if r <= engine.c_max else 0.0
 
 
 def pyp_freq_counts(sketch: Sketch, params: PriorParams, r: int) -> float:
     """Exact estimated number of distinct symbols with frequency r >= 1."""
-    r = int(r)
-    if r < 1:
-        raise DomainError(f"frequency order must be >= 1, got {r}")
+    r = check_freq_order(r)
     p_r = pyp_coverage_exact(sketch, params, r)
     return freq_counts_from({r: p_r}, sketch.n, params.theta, params.alpha)[r]
 
@@ -512,9 +508,7 @@ def pyp_coverage_mc(
     theta/J; at r = 0 with few samples the prior scale's Tin-corrected
     estimate is the closer one, and seeded r = 0 studies reproduce its draws.
     """
-    r = int(r)
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    r = check_value("r", r)
     num_samples, debias = check_value("mc_samples", num_samples), check_value("debias", debias)
     coverage, stderr, _ = _mc_profile(sketch, params, [r], num_samples, seed, debias, params.theta)
     return coverage[r], stderr[r]
@@ -692,7 +686,7 @@ def pyp_report(
     it refuses, in turn: what the estimator table refuses (``SpecError`` for an
     unknown fit, method or debias mode, a value of the wrong type or fit "none"
     without params; theta <= 0, alpha outside (0, 1), mc_samples outside
-    [100, 2^24]); more orders than the zero-discount profile (2^24); for the
+    [100, 2^24], r_max outside [0, 2^24)); a default r_max outside that range; for the
     exact method a bucket count above 2000 (``ExactCapError``), for the Monte
     Carlo one n above 2^22 or over 2^30 chain steps x samples.
     """
@@ -701,8 +695,7 @@ def pyp_report(
                             "debias": debias, **given(r_max=r_max)}, params and vars(params))
     # refusals before a fit, which a refused sketch would waste
     c_max = int(count_multiset(sketch.counts)[0][-1])
-    r_max = c_max if spec["r_max"] is None else spec["r_max"]
-    _check_orders(r_max)
+    r_max = check_value("r_max", c_max) if spec["r_max"] is None else spec["r_max"]
     if method == "exact":
         _check_max_count(c_max)
     else:

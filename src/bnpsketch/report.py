@@ -33,7 +33,9 @@ SPEC_KEYS = ("prior", "fit", *dict.fromkeys(k for _, reads, _ in PRIORS.values()
 CHOICES = {"method": ("exact", "mc"), "debias": ("tin", "none")}  # the default first
 # number type, default (None: none, or the report's own), range test, the range in words
 NUMBERS = {
-    "r_max": (int, None, lambda v: v >= 0, "be >= 0"),
+    "r": (int, None, lambda v: v >= 0, "be >= 0"),  # one order: above the largest count it reads 0
+    "r_max": (int, None, lambda v: 0 <= v < 1 << 24,  # a profile's orders: 128 MB of float64
+              "be >= 0 and below 2^24 (CLI: --r-max)"),
     "theta": (float, None, lambda v: v > 0, "be > 0"),
     "alpha": (float, None, lambda v: 0 < v < 1, "lie in (0, 1) (alpha = 0: the dp prior)"),
     "mc_samples": (int, 100_000, lambda v: 100 <= v <= 1 << 24,  # 128 MB per float64 array
@@ -120,6 +122,13 @@ def _orders_out(v):
 def _orders_in(v):
     """The inverse of ``_orders_out``."""
     return {int(r): x for r, x in v.items()} if isinstance(v, dict) else v
+
+
+def check_freq_order(r) -> int:
+    """A frequency order: an order (the table's "r") of at least 1."""
+    if (r := check_value("r", r)) < 1:
+        raise DomainError(f"frequency order must be >= 1, got {r}")
+    return r
 
 
 def freq_counts_from(coverage: dict, n: int, theta: float, alpha: float = 0.0) -> dict:

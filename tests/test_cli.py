@@ -414,6 +414,9 @@ SIMULATE_REFUSALS = [
     ("pyp", {"alpha": "1.5", "theta": "10"}, cli.EXIT_NUMERIC),
     ("zipf", {"exponent": "-1", "vocab": "50"}, cli.EXIT_NUMERIC),
     ("zipf", {"exponent": "1.2", "vocab": "0"}, cli.EXIT_NUMERIC),
+    ("dp", {"theta": "10", "seed": "-3"}, cli.EXIT_USAGE),
+    ("dp", {"theta": "10", "width": "0"}, cli.EXIT_USAGE),
+    ("dp", {"theta": "10", "width": str(2**25)}, cli.EXIT_USAGE),
 ]
 
 
@@ -458,6 +461,12 @@ CONFIG_REFUSALS = [
     ("dp", {"theta": [10.0], "output": 1}),
     ("file", {"path": "no-such-file.txt"}),
     ("zeta", {"theta": [10.0]}),
+    # the truth profile's orders, the hash width and the seed, all before anything is sampled
+    ("dp", {"theta": [10.0], "r_report": 1 << 24}),
+    ("dp", {"theta": [10.0], "r_report": -1}),
+    ("dp", {"theta": [10.0], "width": 0}),
+    ("dp", {"theta": [10.0], "width": 2**25}),
+    ("dp", {"theta": [10.0], "seed": -1}),
 ]
 
 
@@ -528,6 +537,53 @@ class TestFitCommand:
         lines = surface.read_text().strip().splitlines()
         assert lines[0] == "alpha,theta,distance"
         assert len(lines) > 100
+
+
+# (flag, argv): commands refused for that flag before the sketch or the input is read; "IN" is
+# a token file, "SK" a sketch file and "OUT" an output path
+FLAG_REFUSALS = [
+    ("--width", ["sketch", "--input", "IN", "--width", "0", "--output", "OUT"]),
+    ("--width", ["sketch", "--input", "IN", "--width", str(2**25), "--output", "OUT"]),
+    ("--seed", ["sketch", "--input", "IN", "--width", "8", "--seed", "-1", "--output", "OUT"]),
+    ("--seed", ["estimate", "--sketch", "SK", "--prior", "pyp", "--alpha", "0.5", "--theta", "1",
+                "--seed", "-1", "--output", "OUT"]),
+    ("--seed", ["estimate", "--sketch", "SK", "--prior", "pyp", "--alpha", "0.5", "--theta", "1",
+                "--method", "mc", "--mc-samples", "200", "--seed", "-1", "--output", "OUT"]),
+    ("--seed", ["fit", "--sketch", "SK", "--fit", "eb-wasserstein", "--seed", "-1",
+                "--surface-out", "OUT"]),
+    ("--num-reps", ["fit", "--sketch", "SK", "--fit", "eb-mle", "--num-reps", "3"]),
+    ("--n-sim", ["fit", "--sketch", "SK", "--fit", "eb-mle", "--n-sim", "5"]),
+    ("--seed", ["fit", "--sketch", "SK", "--fit", "eb-mle", "--seed", "0"]),
+    ("--surface-out", ["fit", "--sketch", "SK", "--surface-out", "OUT"]),
+]
+
+
+@pytest.mark.parametrize("flag,argv", FLAG_REFUSALS, ids=str)
+def test_flag_refusals_read_and_write_nothing(flag, argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sketch_load", _must_not_run)
+    paths = {"IN": tmp_path / "in.txt", "SK": tmp_path / "in.sketch", "OUT": tmp_path / "out"}
+    paths["IN"].write_bytes(b"a\nb\n")
+    paths["SK"].write_bytes(b"")
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(*[str(paths.get(a, a)) for a in argv]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_fit_flags_left_unset_take_the_fit_defaults(tmp_path, monkeypatch):
+    class Called(Exception):
+        pass
+
+    def record(sketch, **kw):
+        raise Called(kw)
+
+    monkeypatch.setattr(pyp, "wasserstein_fit", record)
+    path = tmp_path / "s.sketch"
+    sketch_save(Sketch(HashSpec.random(8, seed=0)), path)
+    with pytest.raises(Called) as exc:
+        run_cli("fit", "--sketch", str(path), "--fit", "eb-wasserstein")
+    assert exc.value.args == ({},)
 
 
 class TestMergeCommand:
