@@ -1,7 +1,7 @@
 """The Monte Carlo path: accurate at small n, biased upward as n grows.
 
-Past the exact path's largest bucket count (2000) the heavy-tail estimators
-fall back to averaging ratio statistics of simulated distinct-count chains.
+Besides the exact integral, the heavy-tail estimators can average ratio
+statistics of simulated distinct-count chains.
 Those statistics grow extremely skewed with n, so the ratio estimate acquires
 a positive bias that the second-order (Tin) correction mitigates but does not
 remove.  This demo

@@ -19,8 +19,7 @@ _EXPORTS = {
            "dp_loglik", "dp_report"),
     "experiment": ("ExperimentConfig", "run_experiment"),
     "genmodel": ("PriorParams", "RawSample", "dist_distinct", "expected_distinct_exact",
-                 "sample_distinct_prefix", "sample_pyp_sequence", "sample_sketch_dirmult",
-                 "sample_zipf_sequence"),
+                 "sample_pyp_sequence", "sample_sketch_dirmult", "sample_zipf_sequence"),
     "numkit": ("DomainError", "GfcTable", "digamma", "gfc_direct", "log_convolve",
                "log_rising_factorial", "logsumexp", "stirling_signless"),
     "oracle": ("PartitionStats", "good_turing_coverage", "ground_truth", "partition_stats",

@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-max", type=int)
     p.add_argument("--mc-samples", type=int)
     p.add_argument("--debias", choices=CHOICES["debias"])
-    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--seed", type=_SEED)  # read by --fit eb-wasserstein and --method mc only
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default="-")
 
@@ -165,7 +165,9 @@ def _report_to_csv(report: EstimateReport, fh) -> None:
 
 def _cmd_estimate(args) -> int:
     spec = check_estimator(given(**{k: getattr(args, k) for k in SPEC_KEYS}))
-    report = estimate(sketch_load(args.sketch), spec, seed=args.seed)
+    if args.seed is not None and spec["fit"] != "eb-wasserstein" and spec.get("method") != "mc":
+        raise UsageError("--seed is read by --fit eb-wasserstein and --method mc only")
+    report = estimate(sketch_load(args.sketch), spec, seed=args.seed or 0)
     fh, close = _open_out(args.output)
     try:
         if args.format == "json":

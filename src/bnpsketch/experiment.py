@@ -156,7 +156,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         HashSpec.random(self.width, 0)  # HashSpec's own width check
-        check_value("r_max", self.r_report)  # the truth profile's orders, under the r_max rule
+        check_value("r_max", self.r_report, "r_report")  # the truth profile's orders
         for _, gparams, _ in self.cells()[:: len(self.n_schedule)]:  # one per parameter set
             draw(self.model, gparams, 0, 0)  # its sampler's own checks, sampling nothing
             self._estimator_spec(gparams)

@@ -26,7 +26,6 @@ __all__ = [
     "crp_bucket_counts",
     "dist_distinct",
     "expected_distinct_exact",
-    "sample_distinct_prefix",
     "sample_pyp_sequence",
     "sample_sketch_dirmult",
     "sample_zipf_sequence",
@@ -88,11 +87,6 @@ class RawSample:
     @property
     def has_weights(self) -> bool:
         return self.atom_weights is not None
-
-    def instantiated_mass(self) -> float:
-        if not self.has_weights:
-            raise DomainError("this sample carries no atom weights")
-        return float(np.sum(self.atom_weights))
 
 
 def sample_pyp_sequence(params: PriorParams, n: int, seed, with_weights: bool = True) -> RawSample:
@@ -268,15 +262,6 @@ def sample_zipf_sequence(exponent: float, vocab: int, n: int, seed) -> RawSample
         atom_ids=np.arange(1, vocab + 1, dtype=np.int64),
         atom_weights=weights,
     )
-
-
-def sample_distinct_prefix(c: int, params: PriorParams, seed) -> np.ndarray:
-    """One trajectory of ``distinct_chain``, returned as [K_c, ..., K_0]."""
-    c = int(c)
-    if c < 0:
-        raise DomainError(f"c must be >= 0, got {c}")
-    ks = [int(k[0]) for _, k in distinct_chain(c, params, 1, rng_from(seed))]
-    return np.array(ks[::-1], dtype=np.int64)
 
 
 def distinct_chain(c: int, params: PriorParams, size: int, rng: np.random.Generator):

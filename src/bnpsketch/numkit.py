@@ -177,15 +177,25 @@ def _gfc_next_row(row: np.ndarray, u: int, alpha: float, up: float) -> np.ndarra
     signless Stirling numbers at alpha = 0 with up-coefficient 1.  Both
     summands are nonnegative because u - v*alpha > 0 whenever 1 <= v <= u and
     alpha < 1, so the whole sweep stays in log space without sign tracking.
+    From the first k <= u + 1 entries of row u come as many of row u + 1 (all u + 2 from
+    a whole row), each that of the whole row: entry v reads entries v - 1 and v only.
     """
-    nxt = np.full(u + 2, -np.inf)
-    up_term = math.log(up) + row  # up * C(u, v-1) for v = 1..u+1
-    if u >= 1:
-        v = np.arange(1, u + 1)
-        stay_term = np.log(u - v * alpha) + row[1:]
-        nxt[1 : u + 1] = np.logaddexp(stay_term, up_term[:-1])
-    nxt[u + 1] = up_term[-1]
+    k = row.size
+    nxt = np.full(k + (k == u + 1), -np.inf)
+    up_term = math.log(up) + row  # up * C(u, v-1) for v = 1..k
+    nxt[1:k] = np.logaddexp(np.log(u - np.arange(1, k) * alpha) + row[1:], up_term[:-1])
+    if k == u + 1:
+        nxt[k] = up_term[-1]
     return nxt
+
+
+def _gfc_rows(alpha: float, u_max: int, cols: int) -> np.ndarray:
+    """log C(u, v; alpha), u = 0..u_max, v < cols (-inf past u): GfcTable's rows bit for bit."""
+    table = np.full((u_max + 1, cols), -np.inf)
+    table[0, 0] = 0.0
+    for u in range(u_max):  # slices past the table's width stop at it
+        table[u + 1, : u + 2] = _gfc_next_row(table[u, : u + 1], u, alpha, alpha)[:cols]
+    return table
 
 
 class GfcTable:

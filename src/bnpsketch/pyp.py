@@ -6,9 +6,9 @@ which is astronomically large as written.  Every summand, however, is
 (s)_(t) * prod_j g_j(i_j) with t = |i|, s = theta/alpha, and (s)_(t) =
 E[X^t] for X ~ Gamma(s): the sum is the one-dimensional integral
 E[prod_j G_j(X)], G_j the polynomial of bucket j, over the U <= min(sqrt(2n),
-c_max) distinct counts: the cost follows the largest count c_max, not n.  A Monte
-Carlo representation over distinct-count chains (drawn per bucket under theta/J for
-a profile, under theta by ``pyp_coverage_mc``) also runs past c_max = 2000, unreliably.
+c_max) distinct counts: the cost follows c_max, not n, through one table of coefficient rows
+cut where the integrand ends.  A Monte Carlo representation over distinct-count chains (drawn
+per bucket under theta/J for a profile, under theta by ``pyp_coverage_mc``) is unreliable past small n.
 These are the only two methods: the closed-form power law derived under equal
 bucket fill misses the exact missing mass by a factor that grows with J, even
 under equal fill (2x at J = 4, 32x at J = 1024 for alpha = 0.5, theta = 1).
@@ -16,6 +16,7 @@ under equal fill (2x at J = 4, 32x at J = 1024 for alpha = 0.5, theta = 1).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .genmodel import PriorParams, crp_bucket_counts, distinct_chain, rng_from
 from .numkit import (
     _LGAMMA_SWITCH,
     DomainError,
-    GfcTable,
+    _gfc_rows,
     _stirling_series,
     log_gamma,
     log_rising_factorial,
@@ -52,53 +53,56 @@ __all__ = [
     "wasserstein_fit",
 ]
 
-_EXACT_MAX_COUNT = 2000  # the coefficient triangle, row length and node count follow it
+_FIRST_V = 256  # the coefficient table keeps entries v <= V of each row; V doubles from here
+_EXACT_MAX_CELLS = 1 << 26  # cells of the exact engine's coefficient table (512 MB of float64)
 _NODE_DENSITY = 3  # nodes per 1/sqrt(x*) of the exact engine's grid
 _PROFILE_CELLS = 1 << 20  # cells of one block of nodes or orders of the exact engine (8 MB)
 
 
 class ExactCapError(DomainError):
-    """The exact path refuses a largest bucket count above 2000, whatever n."""
+    """The exact path's coefficient table would pass its budget of cells."""
+
+
+def _check_table(c_max: int, v: int) -> int:
+    """The columns of rows 0..c_max cut to entries v <= V; over the budget, ``ExactCapError``."""
+    cols = min(v, c_max) + 1
+    if (c_max + 1) * cols > _EXACT_MAX_CELLS:
+        raise ExactCapError(
+            f"exact mode needs a coefficient table of {(c_max + 1) * cols} cells ({c_max + 1} rows "
+            f"x {cols} columns) for a largest bucket count of {c_max}; its budget is "
+            f"{_EXACT_MAX_CELLS} cells ({_EXACT_MAX_CELLS * 8 >> 20} MB)")
+    return cols
 
 
 @dataclass
 class LogBlockWeights:
     """Per-count rows of the latent block-count expansion.
 
-    values[k] is a distinct occupied count, held by multiplicity[k] buckets;
-    per_count[k][i] = log of (its coefficient from ``table``) / J^i.
+    table[u][v] = log C(u, v; alpha), u = 0..c_max, -inf past u; values[k] is a distinct
+    occupied count, held by multiplicity[k] buckets; per_count[k][i] = table[values[k]][i] - i log J.
     """
 
     values: np.ndarray
     multiplicity: np.ndarray
-    per_count: list
-    table: GfcTable
+    per_count: np.ndarray
+    table: np.ndarray
 
 
-def _check_max_count(c_max: int) -> None:
-    if c_max > _EXACT_MAX_COUNT:
-        raise ExactCapError(
-            f"exact mode handles bucket counts up to {_EXACT_MAX_COUNT}, got a largest count "
-            f'of {c_max}; the Monte Carlo profile (method="mc", CLI: --method mc) accepts it, but '
-            "at such counts it is unreliable: its estimates can be far off while its standard "
-            "errors stay small"
-        )
-
-
-def block_weights(counts, alpha, width: int | None = None) -> LogBlockWeights:
-    """Build the row of each distinct occupied bucket count.
+def block_weights(counts, alpha, width: int | None = None, v: int = _FIRST_V) -> LogBlockWeights:
+    """Build the coefficient table, cut to entries v <= ``v``, and each occupied count's row.
 
     counts are the bucket counts (empty buckets are neutral); width defaults
-    to len(counts) and fixes the 1/J^i attenuation.  A largest count above
-    2000 raises ``ExactCapError``.
+    to len(counts) and fixes the 1/J^i attenuation.  A table over the budget
+    raises ``ExactCapError`` before it is built.
     """
     counts = np.asarray(counts)
     values, mult = count_multiset(counts)
-    _check_max_count(int(values.max(initial=0)))
+    c_max, alpha = int(values.max(initial=0)), check_value("alpha", alpha)
+    cols = _check_table(c_max, v)
     width = int(width) if width is not None else int(counts.size)
     values, mult = values[values > 0], mult[values > 0]
-    table = GfcTable(float(alpha))
-    per_count = [table.row(c) - np.arange(c + 1) * math.log(width) for c in values.tolist()]
+    table = _gfc_rows(alpha, c_max, cols)
+    per_count = table[values] - np.arange(cols) * math.log(width)
     return LogBlockWeights(values=values, multiplicity=mult, per_count=per_count, table=table)
 
 
@@ -112,27 +116,26 @@ class _ExactEngine:
     """
 
     def __init__(self, sketch: Sketch, params: PriorParams):
-        check_value("theta", params.theta)
-        check_value("alpha", params.alpha)
+        check_value("theta", params.theta)  # alpha is block_weights' to check
         self.params, self.n, self.width = params, sketch.n, sketch.spec.width
-        self.weights = block_weights(sketch.counts, params.alpha, width=self.width)
+        self.log_den, self.log_num_full, self._sizes, self._log_g = 0.0, 0.0, [], []  # empty: P = 1
+        v, self.weights = _FIRST_V, block_weights(sketch.counts, params.alpha, width=self.width)
         self.c_max = int(self.weights.values.max(initial=0))
-        self.log_den, self.log_num_full, self.numerator = 0.0, 0.0, []  # an empty sketch: P = 1
-        if self.c_max:
-            self._integrate(params.theta / params.alpha)
+        while self.c_max and not self._integrate(params.theta / params.alpha):
+            self.weights, v = None, 2 * v  # the old table is freed before the wider one is built
+            self.weights = block_weights(sketch.counts, params.alpha, width=self.width, v=v)
 
-    def _integrate(self, s: float) -> None:
+    def _integrate(self, s: float) -> bool:
+        """The node sums, or False before any when the rows' cut lies past the table."""
         w = self.weights
         mult = w.multiplicity.astype(float)
-        buckets, index = float(mult.sum()), np.arange(self.c_max + 1)
-        padded = np.array([np.pad(g, (0, index.size - g.size), constant_values=-np.inf)
-                           for g in w.per_count])
+        buckets, index = float(mult.sum()), np.arange(w.per_count.shape[1])
         # Newton for the peak u = log(s + T), T = sum m E_k: E_k, Var_k moments of i ~ g_k[i] e^(iu)
         lo, hi = math.log(s + buckets), math.log(s + self.n)
         u = 0.5 * (lo + hi)
-        p, dev = np.empty_like(padded), np.empty_like(padded)  # U x (c_max + 1) each, reused
+        p, dev = np.empty_like(w.per_count), np.empty_like(w.per_count)  # U x V each, reused
         for _ in range(200):
-            np.add(padded, index * u, out=p)
+            np.add(w.per_count, index * u, out=p)
             p -= np.max(p, axis=1, keepdims=True)
             np.exp(p, out=p)
             p /= p.sum(axis=1, keepdims=True)
@@ -151,7 +154,7 @@ class _ExactEngine:
             u = step
         del p, dev
         # step 1/(3 sqrt(x*)); 14 widths right of the peak and left of that of the
-        # numerator without a bucket of the largest E_k; rows cut at exp(-45)
+        # numerator without a bucket of the largest E_k; rows cut at exp(-45) at the last node
         x, var_all, top = math.exp(u), float(mult @ var), int(np.argmax(mean))
         x_left = x + 1.0 - mean[top]
         h = 1.0 / (_NODE_DENSITY * math.sqrt(x))
@@ -159,7 +162,10 @@ class _ExactEngine:
         extend = max(14.0 / math.sqrt(max(x_left - var_all + var[top], 1e-2)), 45.0 / (s + buckets))
         last = w.per_count[-1] + index * right
         cut = np.flatnonzero((last < last.max() - 45.0) & (index > last.argmax()))
-        rows = [g[: cut[0] + 1] if cut.size else g for g in w.per_count]
+        if not cut.size and index.size <= self.c_max:
+            return False
+        keep = cut[0] + 1 if cut.size else index.size
+        rows = [g[: min(c + 1, keep)] for c, g in zip(w.values.tolist(), w.per_count)]
         # s log s - s - log Gamma(s), from the Stirling series where it cancels
         log_norm = (0.5 * math.log(s / (2.0 * math.pi)) - float(_stirling_series(s))
                     if s >= _LGAMMA_SWITCH else s * math.log(s) - s - math.lgamma(s))
@@ -187,25 +193,27 @@ class _ExactEngine:
         self.log_den = logsumexp(base)
         base += v  # shape s + 1
         self.log_num_full = logsumexp(base)
-        self.numerator = [np.empty(g.size) for g in rows]
-        per_block = max(1, _PROFILE_CELLS // nodes.size)
-        for num, lg in zip(self.numerator, log_g):
+        self._nodes, self._base, self._log_g, self._sizes = nodes, base, log_g, [g.size for g in rows]
+        return True
+
+    @functools.cached_property
+    def numerator(self) -> list:
+        """The leave-one-out numerators, on first read, from the node sums ``_integrate`` keeps."""
+        numerator = [np.empty(size) for size in self._sizes]
+        for num, lg in zip(numerator, self._log_g):
+            per_block = max(1, _PROFILE_CELLS // lg.size)  # lg: one sum per node
             for lo in range(0, num.size, per_block):
                 i = np.arange(lo, min(lo + per_block, num.size))
-                num[lo : lo + per_block] = logsumexp((base - lg) + i[:, None] * nodes, axis=1)
+                num[lo : lo + per_block] = logsumexp((self._base - lg) + i[:, None] * self._nodes, axis=1)
+        return numerator
 
     def log_profile(self, r_max: int) -> np.ndarray:
         """log coverage at orders 0..r_max, each bit for bit that of any longer profile.
 
-        Count c adds logsumexp_i g_{c-r}[i] + numerator[k][i] to orders r <= c.
+        Count c adds logsumexp_i table[c-r][i] J^-i + numerator[k][i] to orders r <= c.
         """
         theta, alpha, w = self.params.theta, self.params.alpha, self.weights
         top = min(r_max, self.c_max)
-        # the rows c - r of every r >= 1, stacked once and cut at the longest numerator
-        cols_max = max((num.size for num in self.numerator), default=0)
-        grid = np.full((self.c_max, cols_max), -np.inf)
-        for u, g in enumerate(grid):
-            g[: u + 1] = w.table.row(u)[: g.size]
         # (1 - alpha)_(r) from log-gamma: a cumsum drifts by 3e-10 over 6 000 orders
         log_pre = log_gamma(1.0 - alpha + np.arange(top + 1)) - log_gamma(1.0 - alpha)
         log_pre = math.log(theta / self.width) + log_pre - math.log(theta + self.n) - self.log_den
@@ -218,7 +226,7 @@ class _ExactEngine:
             for lo in range(1, min(c, top) + 1, per_block):
                 orders = np.arange(lo, min(c, top, lo + per_block - 1) + 1)
                 cols = min(c - lo + 1, num.size)  # row c - r has c - r + 1 entries
-                rows = grid[c - orders, :cols]
+                rows = w.table[c - orders, :cols]
                 rows += num[:cols] - np.arange(cols) * math.log(self.width)
                 terms = logsumexp(rows, axis=1) + math.log(m) + log_fact[c]
                 terms -= log_fact[orders] + log_fact[c - orders]  # m C(c, r)
@@ -687,8 +695,8 @@ def pyp_report(
     unknown fit, method or debias mode, a value of the wrong type or fit "none"
     without params; theta <= 0, alpha outside (0, 1), mc_samples outside
     [100, 2^24], r_max outside [0, 2^24)); a default r_max outside that range; for the
-    exact method a bucket count above 2000 (``ExactCapError``), for the Monte
-    Carlo one n above 2^22 or over 2^30 chain steps x samples.
+    exact method a coefficient table of 257 columns over its budget (``ExactCapError``),
+    for the Monte Carlo one n above 2^22 or over 2^30 chain steps x samples.
     """
     t0 = time.perf_counter()
     spec = check_estimator({"prior": "pyp", "fit": fit, "method": method, "mc_samples": mc_samples,
@@ -697,7 +705,7 @@ def pyp_report(
     c_max = int(count_multiset(sketch.counts)[0][-1])
     r_max = check_value("r_max", c_max) if spec["r_max"] is None else spec["r_max"]
     if method == "exact":
-        _check_max_count(c_max)
+        _check_table(c_max, _FIRST_V)
     else:
         _check_mc_work(sketch, spec["mc_samples"])
     if fit == "eb-wasserstein":

@@ -58,14 +58,16 @@ def json_number(key: str, value, kind: type):
     return kind(value)
 
 
-def check_value(key: str, value):
-    """``value`` of estimator key ``key`` checked against the table: its type, then its range."""
+def check_value(key: str, value, name: str | None = None):
+    """``value`` of estimator key ``key`` checked against the table: its type, then its range.
+    ``name`` is a config key read under ``key``'s rule: a refusal names it, without the CLI flag."""
     if key in CHOICES:
         return _choice(key, value, CHOICES[key])
     kind, _, in_range, rule = NUMBERS[key]
-    value = json_number(key, value, kind)
+    value = json_number(name or key, value, kind)
     if not in_range(value):
-        raise DomainError(f"{key} must {rule}, got {value}")
+        rule = rule.partition(" (CLI:")[0] if name else rule
+        raise DomainError(f"{name or key} must {rule}, got {value}")
     return value
 
 

@@ -151,16 +151,28 @@ class TestEstimateCommand:
         assert run_cli("estimate", "--sketch", str(sketch_file), "--prior", "pyp", "--alpha",
                        "0.5", "--theta", "1", "--method", "asymptotic") == cli.EXIT_USAGE
 
-    def test_exact_over_cap_exits_numeric_with_fallback_hint(self, tmp_path, capsys):
+    def test_seed_is_read_by_monte_carlo_draws(self, sketch_file, tmp_path):
+        # left unset the seed is 0; --fit eb-wasserstein and --method mc read it
+        mc = ["--prior", "pyp", "--alpha", "0.5", "--theta", "1", "--method", "mc",
+              "--mc-samples", "200", "--r-max", "2"]
+        reports = {}
+        for seed in ([], ["--seed", "0"], ["--seed", "3"]):
+            out = tmp_path / f"{len(reports)}.json"
+            assert run_cli("estimate", "--sketch", str(sketch_file), *mc, *seed,
+                           "--output", str(out)) == cli.EXIT_OK
+            reports[tuple(seed)] = json.loads(out.read_text())["coverage"]
+        assert reports[()] == reports[("--seed", "0")] != reports[("--seed", "3")]
+
+    def test_exact_over_budget_exits_numeric_naming_the_budget(self, tmp_path, capsys):
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
-        s = Sketch(spec, counts=np.array([2500, 10], dtype=np.uint64), n=2510)
+        s = Sketch(spec, counts=np.array([10**6, 10], dtype=np.uint64), n=10**6 + 10)
         path = tmp_path / "big.sketch"
         sketch_save(s, path)
         code = run_cli("estimate", "--sketch", str(path), "--prior", "pyp",
                        "--alpha", "0.5", "--theta", "1", "--method", "exact")
         assert code == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "Monte Carlo" in err and "--method mc" in err
+        assert "budget is 67108864 cells" in err and "--method mc" not in err
 
     def test_over_cap_fit_exits_numeric_before_fitting(self, tmp_path, capsys, monkeypatch):
         def fit_must_not_run(*args, **kwargs):
@@ -169,11 +181,11 @@ class TestEstimateCommand:
         monkeypatch.setattr(pyp, "wasserstein_fit", fit_must_not_run)
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
         path = tmp_path / "big.sketch"
-        sketch_save(Sketch(spec, counts=np.array([2500, 10], dtype=np.uint64), n=2510), path)
+        sketch_save(Sketch(spec, counts=np.array([10**6, 10], dtype=np.uint64), n=10**6 + 10), path)
         code = run_cli("estimate", "--sketch", str(path), "--prior", "pyp",
                        "--fit", "eb-wasserstein")
         assert code == cli.EXIT_NUMERIC
-        assert "Monte Carlo" in capsys.readouterr().err
+        assert "budget" in capsys.readouterr().err
 
     def test_count_past_signed_range_exits_numeric(self, tmp_path, capsys):
         spec = HashSpec(a=1, b=0, width=3, symbol_seed=0)
@@ -494,6 +506,15 @@ class TestModelTable:
         err = capsys.readouterr().err
         assert "bad experiment config" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [1 << 24, -1, 2.5])
+    def test_r_report_refusal_names_r_report(self, value, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(self.config("dp", {"theta": [10.0], "r_report": value}, tmp_path)))
+        assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad experiment config: r_report must" in err and "r_max" not in err
+        assert "--r-max" not in err
+
     @pytest.mark.parametrize("model", sorted(CONFIG_MODELS))
     def test_every_key_a_model_reads_loads_and_runs(self, model, tmp_path):
         needs, reads = CONFIG_MODELS[model]
@@ -551,6 +572,13 @@ FLAG_REFUSALS = [
                 "--method", "mc", "--mc-samples", "200", "--seed", "-1", "--output", "OUT"]),
     ("--seed", ["fit", "--sketch", "SK", "--fit", "eb-wasserstein", "--seed", "-1",
                 "--surface-out", "OUT"]),
+    # a seed only pyp fits and Monte Carlo draws read
+    ("--seed", ["estimate", "--sketch", "SK", "--prior", "dp", "--fit", "eb-mle", "--seed", "5",
+                "--output", "OUT"]),
+    ("--seed", ["estimate", "--sketch", "SK", "--prior", "dp", "--theta", "1", "--fit", "none",
+                "--seed", "0", "--output", "OUT"]),
+    ("--seed", ["estimate", "--sketch", "SK", "--prior", "pyp", "--alpha", "0.5", "--theta", "1",
+                "--seed", "5", "--output", "OUT"]),
     ("--num-reps", ["fit", "--sketch", "SK", "--fit", "eb-mle", "--num-reps", "3"]),
     ("--n-sim", ["fit", "--sketch", "SK", "--fit", "eb-mle", "--n-sim", "5"]),
     ("--seed", ["fit", "--sketch", "SK", "--fit", "eb-mle", "--seed", "0"]),

@@ -167,6 +167,18 @@ class TestGfc:
                 table.row(u), nk.GfcTable(0.37).row(u), rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_cut_rows_equal_whole_rows_bit_for_bit(self, alpha):
+        # entry v of row u + 1 reads entries v - 1 and v of row u only
+        table = nk.GfcTable(alpha)
+        for cols in (1, 2, 17, 257, 300, 301, 400):
+            cut = nk._gfc_rows(alpha, 300, cols)
+            assert cut.shape == (301, cols)
+            for u, got in enumerate(cut):
+                want = np.full(cols, -np.inf)
+                want[: u + 1] = table.row(u)[:cols]
+                assert np.array_equal(got, want), (cols, u)
+
 
 class TestStirling:
     def test_known_values(self):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bnpsketch import dp, pyp
+from bnpsketch import dp, numkit, pyp
 from bnpsketch.genmodel import (
     PriorParams,
     crp_bucket_counts,
@@ -348,9 +348,11 @@ class TestBlockWeights:
             want = log_correlate(direct, logf_num)
             np.testing.assert_allclose(engine.numerator[k][: c + 1], want, atol=1e-10)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # one bucket of 10^6: 10^6 + 1 rows of 257 columns pass the table's budget
+        monkeypatch.setattr(pyp, "_gfc_rows", must_not_run)
         with pytest.raises(pyp.ExactCapError):
-            pyp.block_weights([2500, 10], 0.5, width=2)
+            pyp.block_weights([10**6, 10], 0.5, width=2)
 
 
 class TestGroupedEngine:
@@ -412,12 +414,7 @@ class TestQuadratureEngine:
     def assert_matches_oracle(sketch, alpha, theta, atol=1e-10):
         counts = sketch.counts.astype(np.int64).tolist()
         _, want, want_ll = convolution_oracle(counts, sketch.spec.width, alpha, theta)
-        params = PriorParams(alpha, theta)
-        with pytest.MonkeyPatch.context() as mp:
-            # accuracy past the exact path's count limit: the drawn sketch of
-            # n = 8000 at alpha = 0.5, theta = 1 holds a count of 2023
-            mp.setattr(pyp, "_EXACT_MAX_COUNT", math.inf)
-            engine = pyp._ExactEngine(sketch, params)
+        engine = pyp._ExactEngine(sketch, PriorParams(alpha, theta))
         got = engine.log_profile(engine.c_max)
         assert np.array_equal(np.isfinite(got), np.isfinite(want))
         live = np.isfinite(want)
@@ -531,6 +528,54 @@ class TestQuadratureEngine:
             tracemalloc.stop()
         assert peak < 100 * 2**20
 
+    def test_profile_past_the_old_count_limit(self, monkeypatch):
+        # c_max 13 663: the table keeps 257 of 13 664 columns; the whole profile sums to 1
+        # and a grid of twice the nodes moves no order by 1e-9 (2.3e-10 measured)
+        s = Sketch(HashSpec.random(128, 1))
+        params = PriorParams(0.5, 10.0)
+        s.insert_ids(sample_pyp_sequence(params, 100_000, 1, with_weights=False).symbols)
+        engine = pyp._ExactEngine(s, params)
+        assert engine.c_max == 13_663 and engine.weights.table.shape == (13_664, 257)
+        want = engine.log_profile(engine.c_max)
+        assert abs(np.exp(want).sum() - 1.0) < 1e-8
+        monkeypatch.setattr(pyp, "_NODE_DENSITY", 2 * pyp._NODE_DENSITY)
+        got = pyp._ExactEngine(s, params).log_profile(engine.c_max)
+        live = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), live)
+        assert np.max(np.abs(got[live] - want[live])) < 1e-9
+
+    def test_table_doubles_and_frees_the_old_one(self, monkeypatch):
+        # [2000] at (0.95, 0.01) keeps nearly the whole row: V doubles from 256 to 2000,
+        # and each table is freed before the wider one is built
+        import weakref
+
+        built = []
+
+        def spy(alpha, u_max, cols):
+            assert all(ref() is None for ref in built)
+            table = numkit._gfc_rows(alpha, u_max, cols)
+            built.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(pyp, "_gfc_rows", spy)
+        engine = pyp._ExactEngine(make_sketch([2000]), PriorParams(0.95, 0.01))
+        assert len(built) == 4 and engine.weights.table.shape == (2001, 2001)
+
+    def test_refusal_while_the_table_doubles(self, monkeypatch):
+        # a budget of 2001 x 257 cells: [2000] passes the first check, and the wider
+        # table it needs is refused before it is built
+        widths = []
+
+        def spy(alpha, u_max, cols):
+            widths.append(cols)
+            return numkit._gfc_rows(alpha, u_max, cols)
+
+        monkeypatch.setattr(pyp, "_EXACT_MAX_CELLS", 2001 * 257)
+        monkeypatch.setattr(pyp, "_gfc_rows", spy)
+        with pytest.raises(pyp.ExactCapError, match=re.escape("(2001 rows x 513 columns)")):
+            pyp.pyp_report(make_sketch([2000]), params=PriorParams(0.95, 0.01))
+        assert widths == [257]
+
     def test_order_is_read_from_the_profile_up_to_it(self):
         s = make_sketch([9, 4, 4, 1, 0], width=8)
         params = PriorParams(0.5, 3.0)
@@ -633,14 +678,14 @@ class TestExactEstimators:
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_exact_cap_names_fallback(self):
-        want = ('exact mode handles bucket counts up to 2000, got a largest count of 3000; '
-                'the Monte Carlo profile (method="mc", CLI: --method mc) accepts it, but at such '
-                'counts it is unreliable')
+    def test_exact_cap_names_the_budget(self):
+        want = ("exact mode needs a coefficient table of 257000257 cells (1000001 rows x 257 "
+                "columns) for a largest bucket count of 1000000; its budget is 67108864 cells "
+                "(512 MB)")
         with pytest.raises(pyp.ExactCapError, match=re.escape(want)) as err:
-            pyp.pyp_coverage_exact(make_sketch([3000]), PriorParams(0.5, 1.0), 0)
+            pyp.pyp_coverage_exact(make_sketch([10**6]), PriorParams(0.5, 1.0), 0)
         # MC is no stand-in there: measured 28% off at a largest count of 2 901
-        assert "instead" not in str(err.value)
+        assert "--method mc" not in str(err.value) and "instead" not in str(err.value)
 
 
 class TestParameterRanges:
@@ -1096,16 +1141,17 @@ class TestReport:
         rep = pyp.pyp_report(make_sketch([2000]), params=PriorParams(0.5, 10.0))
         assert abs(sum(rep.coverage.values()) - 1.0) < 1e-8
         # refused from the count multiset, before the coefficient table is built
-        monkeypatch.setattr(pyp, "GfcTable", must_not_run)
-        with pytest.raises(pyp.ExactCapError, match="2001"):
-            pyp.pyp_report(make_sketch([2001]), params=PriorParams(0.5, 10.0))
-        with pytest.raises(pyp.ExactCapError, match="2001"):
-            pyp.pyp_loglik(make_sketch([2001]), PriorParams(0.5, 10.0))
+        monkeypatch.setattr(pyp, "_gfc_rows", must_not_run)
+        with pytest.raises(pyp.ExactCapError, match="1000001 rows"):
+            pyp.pyp_report(make_sketch([10**6]), params=PriorParams(0.5, 10.0))
+        with pytest.raises(pyp.ExactCapError, match="1000001 rows"):
+            pyp.pyp_loglik(make_sketch([10**6]), PriorParams(0.5, 10.0))
 
     def test_exact_cap_checked_before_the_fit(self, monkeypatch):
         def fit_must_not_run(*args, **kwargs):
             raise AssertionError("the fit ran on an over-cap sketch")
 
         monkeypatch.setattr(pyp, "wasserstein_fit", fit_must_not_run)
-        with pytest.raises(pyp.ExactCapError, match="Monte Carlo"):
-            pyp.pyp_report(make_sketch([2500, 10]), fit="eb-wasserstein", method="exact")
+        monkeypatch.setattr(pyp, "_gfc_rows", must_not_run)
+        with pytest.raises(pyp.ExactCapError, match="budget"):
+            pyp.pyp_report(make_sketch([10**6, 10]), fit="eb-wasserstein", method="exact")
