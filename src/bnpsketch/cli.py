@@ -1,8 +1,8 @@
 """Command-line surface: sketch, estimate, simulate, fit, merge, experiment.
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 numerical-domain
-error.  All configuration is explicit (flags or config file); no environment
-variables are consulted.
+error or out of memory.  All configuration is explicit (flags or config file);
+no environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -306,6 +306,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except OverflowError as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # an input too large to hold, such as a simulated n of 10^12
+        print(f"numerical-domain error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         # DomainError and its subclasses land here together with other

@@ -15,6 +15,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, fields
 
@@ -136,6 +137,8 @@ class ExperimentConfig:
         for k in kw.keys() & _STR_FIELDS:
             if not isinstance(kw[k], str):
                 raise SpecError(f"{k} must be a string, got {kw[k]!r}")
+        if not isinstance(kw.get("timing", False), bool):
+            raise SpecError(f"timing must be true or false, got {kw['timing']!r}")
         model_params = {k: kw.pop(k) for k in MODEL_KEYS if k in kw}
         cfg = cls(**kw, model_params=model_params)
         cfg.validate()
@@ -155,6 +158,9 @@ class ExperimentConfig:
             raise ValueError("n schedule must be strictly increasing")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        cpus = os.cpu_count() or 1  # a process pool starts all of its workers at once
+        if not 1 <= self.workers <= cpus:
+            raise ValueError(f"workers must lie in [1, {cpus}], the CPUs, got {self.workers}")
         HashSpec.random(self.width, 0)  # HashSpec's own width check
         check_value("r_max", self.r_report, "r_report")  # the truth profile's orders
         for _, gparams, _ in self.cells()[:: len(self.n_schedule)]:  # one per parameter set

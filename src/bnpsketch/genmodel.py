@@ -271,8 +271,7 @@ def distinct_chain(c: int, params: PriorParams, size: int, rng: np.random.Genera
     success probability (theta + alpha*K_{i-1})/(theta+i-1), the new-symbol
     probability of the predictive scheme after i-1 observations, so one walk
     yields every prefix count.  K_i is one array updated in place: copy what
-    you keep.  Step i >= 2 draws ``rng.random(size)``, so a replay from the
-    same generator state yields the same chains; K_1 draws nothing.  A step
+    you keep.  Step i >= 2 draws ``rng.random(size)``; K_1 draws nothing.  A step
     reads p from a table over K_{i-1} <= i - 1, whose entries are the
     elementwise formula's bit for bit, into buffers reused by every step.
     """

@@ -16,6 +16,7 @@ under equal fill (2x at J = 4, 32x at J = 1024 for alpha = 0.5, theta = 1).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -36,7 +37,7 @@ from .numkit import (
     logsumexp,
 )
 from .report import (DEFAULTS, EstimateReport, FittedPrior, check_estimator, check_freq_order,
-                     check_value, distinct_from, freq_counts_from, given)
+                     check_value, distinct_from, freq_counts_from, given, json_number)
 from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
 
 __all__ = [
@@ -274,21 +275,37 @@ def _shifted_moments(log_x: np.ndarray):
     return shift, shifted, float(np.mean(shifted))
 
 
-# Working set of one block of orders of the Monte Carlo profile: orders x samples
-# cells of one float64 sum (8 MB), and at most as many bytes of kept chain values.
-_MC_CELLS = 1 << 20
+_MC_CELLS = 1 << 20  # orders x samples of one block of the Monte Carlo profile's float64 sums (8 MB)
 # Monte Carlo work, at most: n + 1 floats in each of three f tables (32 MB each), and
-# sum(c - 1) chain steps x samples (~10 s at r = 0, ~2.5 min for every order)
+# sum(c - 1) chain steps x samples (~10 s at r = 0, ~2.5 min for every order).  The
+# chain reads pass 1 keeps share the exact engine's budget, _EXACT_MAX_CELLS x 8 bytes.
 _MC_MAX_N, _MC_MAX_STEPS = 1 << 22, 1 << 30
 
 
-def _check_mc_work(sketch: Sketch, num_samples: int) -> None:
-    """Refuse Monte Carlo work past ``_MC_MAX_N`` or ``_MC_MAX_STEPS``, before any allocation."""
+def _kept_reads(c: int, live: list) -> int:
+    """The chain reads pass 2 takes from a count-c bucket at the ``live`` orders (sorted, >= 1):
+    K_c and each depth c - r >= 2 (K_0 = 0 and K_1 = 1 are known); none if no order is <= c."""
+    return 1 + bisect.bisect_right(live, c - 2) if live and live[0] <= c else 0
+
+
+def _check_mc_work(sketch: Sketch, num_samples: int, orders) -> tuple[int, list]:
+    """(c_max, the live orders 1..c_max of ``orders``, sorted); before any allocation, refuses work
+    past ``_MC_MAX_N`` or ``_MC_MAX_STEPS`` and kept chain reads past the exact engine's bytes."""
+    values, mult = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
     steps = (sketch.n - int(np.count_nonzero(sketch.counts))) * num_samples  # c walks c - 1
     if sketch.n > _MC_MAX_N or steps > _MC_MAX_STEPS:
         raise DomainError(f"Monte Carlo work past its limits: n = {sketch.n} (at most 2^22), "
                           f"{steps} chain steps x samples (at most 2^30); pass fewer samples "
                           "(CLI: --mc-samples)")
+    c_max = int(values.max(initial=0))
+    live = sorted({int(r) for r in orders if 0 < r <= c_max})
+    reads = sum(m * _kept_reads(c, live) for c, m in zip(values.tolist(), mult.tolist()) if c > 1)
+    kept, budget = reads * num_samples * np.min_scalar_type(c_max).itemsize, _EXACT_MAX_CELLS * 8
+    if kept > budget:
+        raise DomainError(f"the Monte Carlo profile would keep {math.ceil(kept / 2**20)} MB of chain reads, "
+                          f"past its budget of {budget >> 20} MB; pass fewer samples (CLI: --mc-samples) "
+                          "or orders (CLI: --r-max), or use the exact method (CLI: --method exact)")
+    return c_max, live
 
 
 def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, seed, debias: str,
@@ -300,19 +317,18 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     nothing, so such buckets are never walked: pass 1 adds their constant to
     Z' in bucket order, and their order-1 terms, all equal, enter pass 2 once
     with weight m_1.  Pass 1 walks every other bucket once, to depth c for Z',
-    keeping K_c and the first block's depths c - r >= 2 within its bytes
-    (``_MC_CELLS``); pass 2 sums w_j Z_j per order, the scale entering as
-    (scale)_(c-r)/(scale)_(c) and the lookup (scale/alpha)_(K), and replays a
-    bucket only for a depth not kept.  The Tin correction is linear in Z_j, so
-    it and the SE go on the sum.  Diagnostics: Kish's ESS, top weight share, chain steps.
+    keeping K_c and every depth c - r >= 2 an order reads (``_kept_reads``;
+    ``_check_mc_work`` bounds their bytes); pass 2 sums w_j Z_j per order, in
+    blocks of ``_MC_CELLS``, from the kept reads alone, the scale entering as
+    (scale)_(c-r)/(scale)_(c) and the lookup (scale/alpha)_(K).  The Tin
+    correction is linear in Z_j, so it and the SE go on the sum.  Diagnostics:
+    Kish's ESS, top weight share, chain steps (sum(c - 1) over walked buckets).
     """
     check_value("theta", params.theta)
     check_value("alpha", params.alpha)
-    values, _ = count_multiset(sketch.counts)  # refuses counts of 2^63 or more
-    _check_mc_work(sketch, num_samples)
-    c_max = int(values.max(initial=0))
     coverage = dict.fromkeys((int(r) for r in orders), 0.0)
     stderr = dict(coverage)
+    c_max, live = _check_mc_work(sketch, num_samples, coverage)
     if min(coverage) > c_max or c_max == 0:  # every order r >= 1 vanishes, and nothing is drawn
         if 0 in coverage:
             coverage[0] = 1.0  # no occupied bucket: all of the mass is missing
@@ -336,37 +352,24 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     log_pre = log_rising_factorial_prefix(1.0 - alpha, max(c_max, 1))
     log_pre = math.log(theta / width) + log_pre - math.log(theta + n)
 
-    live = sorted(r for r in coverage if 0 < r <= c_max)
     per_block = max(1, _MC_CELLS // num_samples)
     small = np.min_scalar_type(c_max)  # chain values lie in 0..c_max, K_c included
-    want = [[c] + [c - r for r in live[:per_block] if r <= c - 2] for c in walked]  # K_0, K_1 known
-    fits = np.cumsum([len(d) for d in want]) * (num_samples * small.itemsize) <= 8 * _MC_CELLS
-    keep = [d if f and live else [] for d, f in zip(want, fits)]  # the first buckets that fit
-
-    def walk(c, depths):
-        """Walk one bucket's chains to depth c: K_c, and {i: K_i} at ``depths`` >= 2 as small ints."""
-        nonlocal steps
-        steps += c - 1  # K_1 draws nothing
-        reads = {}
-        for i, k in distinct_chain(c, chain, num_samples, rng):
-            if i >= 2 and i in depths:
-                reads[i] = k.astype(small)
-        return k, reads
-
-    sums = np.empty((min(len(live), per_block), num_samples))  # made first, not amid the walks' arrays
-    states, kept, steps = [], [], 0
+    sums = np.empty((min(len(live), per_block), num_samples))  # made first, not amid the kept reads
+    kept = []  # {depth: K} of each walked bucket, as small ints
     t_total = np.full(num_samples, ones, dtype=np.int64)
     s_total = np.zeros(num_samples)
     for c in occ_counts:
         if c == 1:  # K_1 = 1: the term a walk would add, in the same place of the sum
             s_total += log_rf_chain[1]
             continue
-        states.append(rng.bit_generator.state)
-        k_c, reads = walk(c, keep[len(kept)])
-        kept.append(reads)
-        t_total += k_c
-        s_total += log_rf_chain[k_c]
-    end_state = rng.bit_generator.state
+        reads = _kept_reads(c, live)
+        depths = {c, *(c - r for r in live[: reads - 1])} if reads else ()
+        kept.append({})
+        for i, k in distinct_chain(c, chain, num_samples, rng):
+            if i in depths:
+                kept[-1][i] = k.astype(small)
+        t_total += k
+        s_total += log_rf_chain[k]
 
     # Z' / e^den_shift, in place of log Z'
     zden = log_f_den[t_total] - s_total
@@ -449,15 +452,11 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
         if ones and block[0] == 1:  # every count-1 bucket reads K_0 = 0 at order 1: one term
             add_term(0, math.log(ones) - float(log_scale_rf[1]),
                      np.subtract(t_total, 1, out=idx), np.subtract(s_total, log_rf_chain[1], out=lookup))
-        for c, state, reads in zip(walked, states, kept):
+        for c, reads in zip(walked, kept):
             rows = {c - r: row for row, r in enumerate(block) if r <= c}  # depth -> row
             if not rows:
                 continue
-            k_c = reads.get(c)
-            if k_c is None or not reads.keys() >= {i for i in rows if i >= 2}:  # not kept: replay
-                rng.bit_generator.state = state
-                k_c, reads = walk(c, rows)
-            np.copyto(idx, k_c)  # a small-int index would be converted in a temporary
+            np.copyto(idx, reads[c])  # a small-int index would be converted in a temporary
             np.take(log_rf_chain, idx, out=lookup, mode="clip")
             np.subtract(s_total, lookup, out=s_rest)
             np.subtract(t_total, idx, out=t_rest)
@@ -473,11 +472,10 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
                     np.add(lookup, s_rest, out=lookup)
                     np.add(idx, t_rest, out=idx)
                 add_term(row, logw, idx, lookup)
-        rng.bit_generator.state = end_state
         # the prefactor goes into the sum: (1-alpha)_(r) passes 1e308 from r ~ 170
         for r, row_shift, row in zip(block, shift, lin):
             finish(r, row_shift + log_pre[r], row)
-    diagnostics["chain_steps"] = steps
+    diagnostics["chain_steps"] = sum(walked) - len(walked)  # K_1 draws nothing
     return coverage, stderr, diagnostics
 
 
@@ -587,7 +585,8 @@ def wasserstein_fit(
     candidates are re-scored with quadruple replications before the winner
     is declared, since the argmin of many noisy means is biased low; only
     the replicates a candidate has not had yet are simulated.  Set
-    refine_theta=0 / rescore_top=0 to disable either stage.
+    refine_theta=0 / rescore_top=0 to disable either stage.  num_reps, n_sim,
+    refine_theta and rescore_top are integers: a bool or a float is refused.
 
     Simulation uses the sequential predictive sampler: the sketch depends
     only on the symbol sequence, and stick coverage would be intractable on
@@ -605,10 +604,14 @@ def wasserstein_fit(
     theta_grid = sorted(float(t) for t in theta_grid)
     if not alpha_grid or not theta_grid:
         raise DomainError("parameter grid must be nonempty")
+    num_reps, refine_theta, rescore_top = (json_number(k, v, int) for k, v in (
+        ("num_reps", num_reps), ("refine_theta", refine_theta), ("rescore_top", rescore_top)))
     if num_reps < 1:
         raise DomainError(f"num_reps must be >= 1, got {num_reps}")
+    if min(refine_theta, rescore_top) < 0:
+        raise DomainError(f"refine_theta and rescore_top must be >= 0, got {refine_theta}, {rescore_top}")
     n = sketch.n
-    n_sim = int(n_sim) if n_sim is not None else min(n, 10_000)
+    n_sim = json_number("n_sim", n_sim, int) if n_sim is not None else min(n, 10_000)
     if not 1 <= n_sim <= n:
         raise DomainError(f"n_sim must lie in [1, n], got {n_sim}")
     target = np.sort(np.asarray(sketch.counts, dtype=float)) * (n_sim / n)
@@ -661,11 +664,11 @@ def wasserstein_fit(
     if refine_theta > 0:
         t_best = min(scores, key=lambda at: (scores[at], at))[1]
         extra = np.logspace(
-            math.log10(t_best) - 0.5, math.log10(t_best) + 0.5, int(refine_theta) + 2
+            math.log10(t_best) - 0.5, math.log10(t_best) + 0.5, refine_theta + 2
         )[1:-1]
         scores.update(mean_distances([(a, float(t)) for a in alpha_grid for t in extra], num_reps))
     if rescore_top > 0:
-        shortlist = sorted(scores, key=lambda at: (scores[at], at))[: int(rescore_top)]
+        shortlist = sorted(scores, key=lambda at: (scores[at], at))[:rescore_top]
         scores.update(mean_distances(shortlist, 4 * num_reps))
     best = min(scores, key=lambda at: (scores[at], at))
     rows = sorted((a, t, d) for (a, t), d in scores.items())
@@ -696,7 +699,8 @@ def pyp_report(
     without params; theta <= 0, alpha outside (0, 1), mc_samples outside
     [100, 2^24], r_max outside [0, 2^24)); a default r_max outside that range; for the
     exact method a coefficient table of 257 columns over its budget (``ExactCapError``),
-    for the Monte Carlo one n above 2^22 or over 2^30 chain steps x samples.
+    for the Monte Carlo one n above 2^22, over 2^30 chain steps x samples or chain reads
+    kept past the exact table's 512 MB.
     """
     t0 = time.perf_counter()
     spec = check_estimator({"prior": "pyp", "fit": fit, "method": method, "mc_samples": mc_samples,
@@ -707,7 +711,7 @@ def pyp_report(
     if method == "exact":
         _check_table(c_max, _FIRST_V)
     else:
-        _check_mc_work(sketch, spec["mc_samples"])
+        _check_mc_work(sketch, spec["mc_samples"], range(r_max + 1))
     if fit == "eb-wasserstein":
         wf = wasserstein_fit(sketch, seed=seed)
         prior = wf.prior

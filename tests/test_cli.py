@@ -292,6 +292,22 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "--mc-samples" in err and "Traceback" not in err
 
+    def test_mc_kept_reads_past_budget_exit_numeric_before_any_draw(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # a profile to c_max = 257 keeps 256 chain reads of 2 bytes per sample: 2^20 + 1
+        # samples pass the 512 MB budget; refused before the fit and before any chain is drawn
+        monkeypatch.setattr(pyp, "distinct_chain", _must_not_run)
+        monkeypatch.setattr(pyp, "wasserstein_fit", _must_not_run)
+        spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
+        path = tmp_path / "deep.sketch"
+        sketch_save(Sketch(spec, counts=np.array([257, 0], dtype=np.uint64), n=257), path)
+        for prior in (["--alpha", "0.5", "--theta", "1"], ["--fit", "eb-wasserstein"]):
+            code = run_cli("estimate", "--sketch", str(path), "--prior", "pyp", *prior,
+                           "--method", "mc", "--mc-samples", str((1 << 20) + 1))
+            assert code == cli.EXIT_NUMERIC
+            err = capsys.readouterr().err
+            assert "512 MB" in err and "--r-max" in err and "Traceback" not in err
+
     def test_counts_not_summing_to_n_is_data_error(self, tmp_path):
         # a blob whose counts wrap past 2^64 to the stored n, with a valid CRC
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
@@ -387,6 +403,29 @@ class TestSimulateCommand:
         assert truth["distinct"] == 0
         assert (tmp_path / "empty.tokens").read_bytes() == b""
         assert sketch_load(tmp_path / "empty.sketch").n == 0
+
+    def test_out_of_memory_exits_numeric_in_one_line(self, tmp_path, capsys, monkeypatch):
+        # the sampler raises as numpy does for n = 10^12, without allocating; a draw of
+        # n = 0, as a config's load makes, passes
+        from bnpsketch import experiment
+
+        def out_of_memory(params, n, *args, **kwargs):
+            if n:
+                raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                                  f"({n},) and data type float64")
+            return sample(params, n, *args, **kwargs)
+
+        sample = experiment.sample_pyp_sequence
+        monkeypatch.setattr(experiment, "sample_pyp_sequence", out_of_memory)
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(dict(TestExperimentCommand.SMOKE, n=[10**12])))
+        for argv in (["simulate", "--model", "dp", "--theta", "10", "--n", str(10**12),
+                      "--output", str(tmp_path / "sim")], ["experiment", "--config", str(cfg)]):
+            assert run_cli(*argv) == cli.EXIT_NUMERIC
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Unable to allocate 7.28 TiB" in err
+            assert err.startswith("numerical-domain error: out of memory")
+        assert not list(tmp_path.glob("sim*"))
 
     def test_single_symbol_vocab_has_no_missing_mass(self, tmp_path):
         run_cli("simulate", "--model", "zipf", "--exponent", "1.5", "--vocab", "1",
@@ -740,6 +779,17 @@ class TestExperimentCommand:
         every_key = {"prior": "pyp", "fit": "none", "r_max": 1, "theta": 1.0, "alpha": 0.5,
                      "method": "mc", "mc_samples": 200, "debias": "none"}
         ExperimentConfig.from_dict(dict(self.SMOKE, estimator=every_key))
+
+    def test_bad_workers_and_timing_are_data_error(self, tmp_path, monkeypatch):
+        # refused at load: no process is started, and no wall time is written
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _must_not_run)
+        monkeypatch.setattr(ExperimentConfig, "cells", _must_not_run)
+        cfg = tmp_path / "bad.json"
+        cpus = os.cpu_count() or 1
+        for bad in ({"workers": 0}, {"workers": -2}, {"workers": cpus + 1}, {"workers": 100_000},
+                    {"timing": "false"}, {"timing": 1}, {"timing": None}):
+            cfg.write_text(json.dumps(dict(self.SMOKE, **bad)))
+            assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA, bad
 
     def test_unknown_top_level_keys_rejected(self):
         # the schedule is spelled "n" in a config; the field name is not a key

@@ -859,8 +859,8 @@ class TestMonteCarloProfile:
 
     @pytest.mark.parametrize("cells", [1, 2 * 1000])
     def test_blocks_of_orders_do_not_change_the_profile(self, cells, monkeypatch):
-        # cells = 1 gives one order per block and keeps nothing of pass 1, so
-        # every block replays; 2000 gives two orders per block, the first kept
+        # cells = 1 gives one order per block, 2000 two: each block reads the
+        # chain values pass 1 kept, so nothing moves, the work counter included
         s = make_sketch([7, 1, 0, 3, 5, 2, 1, 4], width=16)
         kw = dict(params=PriorParams(0.5, 3.0), method="mc", mc_samples=1000, seed=5)
         want = pyp.pyp_report(s, **kw).to_dict()
@@ -868,15 +868,14 @@ class TestMonteCarloProfile:
         walked = count_walks(monkeypatch)
         got = pyp.pyp_report(s, **kw).to_dict()
         del want["wall_time"], got["wall_time"]
-        # the work counter is the one key that moves: it counts the replays
-        assert want["diagnostics"].pop("chain_steps") == 6 + 2 + 4 + 1 + 3
-        assert got["diagnostics"].pop("chain_steps") == sum(c - 1 for c in walked) > 16
+        assert walked == [7, 3, 5, 2, 4]
+        assert got["diagnostics"]["chain_steps"] == 6 + 2 + 4 + 1 + 3
         assert got == want
 
     def test_count_one_buckets_are_never_walked(self, monkeypatch):
         # a count-1 bucket's chain is K_1 = 1: its constant and its order-1
         # term need no walk; pass 1 walks each other bucket once, and pass 2
-        # reads what pass 1 kept, so nothing is replayed
+        # reads what pass 1 kept
         walked = count_walks(monkeypatch)
         s = make_sketch([1, 3, 1, 1, 2, 0, 1, 1], width=8)
         rep = pyp.pyp_report(s, params=PriorParams(0.5, 2.0), method="mc", mc_samples=500, seed=4)
@@ -885,11 +884,10 @@ class TestMonteCarloProfile:
         assert rep.coverage[1] > 0.0 and rep.mc_stderr[1] > 0.0
 
     @pytest.mark.parametrize("cells", [1, 1000, 2000])
-    def test_replays_equal_the_one_walk_profile(self, cells, monkeypatch):
-        # a lower budget keeps less of pass 1: nothing (1); K_c and the reads of
-        # a one-order first block, but not for the last bucket, which no longer
-        # fits (1000); a first block of two orders (2000).  Later blocks replay
-        # the buckets whose depths >= 2 were not kept
+    def test_each_bucket_walked_once(self, cells, monkeypatch):
+        # one order per block (1, 1000) or two (2000): the buckets are walked
+        # once each, in bucket order, and the profile, its diagnostics and the
+        # generator's end state are those of one block for every order
         s = make_sketch([12, 1, 0, 9, 2, 30, 1, 4], width=16)
 
         def profile():
@@ -897,15 +895,12 @@ class TestMonteCarloProfile:
             cov, se, diag = pyp._mc_profile(s, PriorParams(0.5, 3.0), range(32), 1000, gen, "tin", 3.0 / 16)
             return cov, se, diag, gen.bit_generator.state
 
-        walked = count_walks(monkeypatch)
         cov, se, diag, state = profile()
-        assert sorted(walked) == [2, 4, 9, 12, 30] and diag["chain_steps"] == 52
-        walked.clear()
         monkeypatch.setattr(pyp, "_MC_CELLS", cells)
+        walked = count_walks(monkeypatch)
         cov_r, se_r, diag_r, state_r = profile()
-        assert walked[:5] == [12, 9, 2, 30, 4] and len(walked) > 5
-        assert diag_r.pop("chain_steps") == sum(c - 1 for c in walked)
-        del diag["chain_steps"]
+        assert walked == [12, 9, 2, 30, 4]
+        assert diag["chain_steps"] == diag_r["chain_steps"] == 11 + 8 + 1 + 29 + 3
         assert list(cov) == list(cov_r) == list(range(32))
         assert np.array_equal(list(cov.values()), list(cov_r.values()))
         assert np.array_equal(list(se.values()), list(se_r.values()))
@@ -915,25 +910,49 @@ class TestMonteCarloProfile:
             assert np.array_equal(got, want), key
         assert state_r == state
 
+    def test_chain_steps_are_one_walk_per_bucket(self, monkeypatch):
+        # at n = 1000, J = 128 and 2000 samples a profile to c_max spans two
+        # blocks of 524 orders; each bucket is still walked once
+        ss = np.random.SeedSequence(4000)
+        s_data, s_hash = ss.spawn(2)
+        sk = Sketch(HashSpec.random(128, s_hash))
+        sk.insert_ids(sample_pyp_sequence(PriorParams(0.5, 1.0), 1000, s_data).symbols)
+        counts = sk.counts.astype(np.int64)
+        walked = count_walks(monkeypatch)
+        rep = pyp.pyp_report(sk, params=PriorParams(0.5, 1.0), method="mc", mc_samples=2000, seed=6)
+        assert int(counts.max()) > pyp._MC_CELLS // 2000
+        assert walked == counts[counts > 1].tolist()
+        assert rep.diagnostics["chain_steps"] == int(np.sum(counts[counts > 1] - 1))
+
     @pytest.mark.parametrize("c_max", [127, 128, 129, 255, 256, 32767, 32768])
-    def test_kept_chain_values_at_small_int_limits(self, c_max, monkeypatch):
+    def test_kept_chain_values_at_small_int_limits(self, c_max):
         # pass 1 keeps K_c, which can equal c_max, in the smallest integer type
-        # that holds c_max: at theta/J = 5e11 almost every chain ends at c_max.
-        # A type too small wraps K_c, and the kept path would then part from
-        # the replay path, which reads K_c from the walk itself
+        # that holds c_max: at scale 1e12 almost every chain ends at c_max.  A
+        # type too small wraps K_c, and the kept path would then part from the
+        # reference, which reads K_c and K_(c-r) as int64 (roundoff: 1e-12 at c ~ 3e4)
         s = make_sketch([c_max, 3], width=2)
         params = PriorParams(0.5, 1e12)
-        for _, k in distinct_chain(c_max, PriorParams(0.5, 5e11), 100, np.random.default_rng(c_max)):
+        for _, k in distinct_chain(c_max, params, 100, np.random.default_rng(c_max)):
             pass
         assert (k == c_max).any()
-        kw = dict(params=params, method="mc", mc_samples=100, r_max=2, seed=c_max)
-        want = pyp.pyp_report(s, **kw).to_dict()
-        monkeypatch.setattr(pyp, "_MC_CELLS", 1)  # keeps nothing: each block replays
-        got = pyp.pyp_report(s, **kw).to_dict()
-        del want["wall_time"], got["wall_time"]
-        assert want["diagnostics"].pop("chain_steps") == c_max - 1 + 2
-        assert got["diagnostics"].pop("chain_steps") == 3 * (c_max - 1) + 3 * 2
-        assert got == want
+        for r in (1, 2):
+            got = pyp.pyp_coverage_mc(s, params, r, 100, seed=c_max + r)
+            want = per_order_mc_reference(s, params, r, 100, c_max + r)
+            assert_rel_close(got[0], want[0], 1e-10)
+
+    def test_kept_reads_are_counted_before_any_draw(self, monkeypatch):
+        # one bucket of count 257: a profile to c_max keeps K_257 and K_2..K_255,
+        # 256 reads of 2 bytes a sample, at most 2^29 bytes: 2^20 samples
+        monkeypatch.setattr(pyp, "distinct_chain", must_not_run)
+        s = make_sketch([257, 0], width=2)
+        assert pyp._check_mc_work(s, 1 << 20, range(258)) == (257, list(range(1, 258)))
+        with pytest.raises(DomainError, match="--mc-samples.*--r-max.*exact"):
+            pyp._check_mc_work(s, (1 << 20) + 1, range(258))
+        # fewer orders keep fewer reads; r = 0 alone, or orders past c_max, keep none
+        for orders in ([0], [300], [1], range(200)):
+            pyp._check_mc_work(s, (1 << 20) + 1, orders)
+        with pytest.raises(DomainError, match="chain reads"):
+            pyp.pyp_report(s, params=PriorParams(0.5, 1.0), method="mc", mc_samples=(1 << 20) + 1)
 
     def test_trust_measures(self):
         s = make_sketch([4, 1, 0, 2, 1], width=8)
@@ -1018,6 +1037,15 @@ class TestWassersteinFit:
     def test_replicate_count_validated(self):
         with pytest.raises(DomainError):
             pyp.wasserstein_fit(make_sketch([3, 1]), num_reps=0)
+
+    @pytest.mark.parametrize("kw", [dict(n_sim=20.7), dict(n_sim=True), dict(refine_theta=1.5),
+                                    dict(rescore_top=-3), dict(refine_theta=-1), dict(num_reps=True),
+                                    dict(num_reps=1.5), dict(num_reps=np.float64(2.0))])
+    def test_integer_arguments_refused_before_simulating(self, monkeypatch, kw):
+        # a bool or a float where an integer is read is refused, not truncated
+        monkeypatch.setattr(pyp, "crp_bucket_counts", must_not_run)
+        with pytest.raises(DomainError, match=next(iter(kw))):
+            pyp.wasserstein_fit(make_sketch([30, 12, 0, 5]), **kw)
 
     @staticmethod
     def per_stream_surface(sketch, alpha_grid, theta_grid, num_reps, n_sim, seed,
