@@ -1,7 +1,8 @@
 """Exact coverage profile under the two-parameter prior, on a small sketch.
 
 The heavy-tail prior has no closed-form sketch posterior; the exact values
-come from a latent-block-count convolution.  This demo prints the full
+come from one Gamma integral of the product of the buckets' latent
+block-count polynomials, summed on a grid of nodes.  This demo prints the full
 profile, shows it sums to one, and cross-checks the distinct-count identity.
 """
 

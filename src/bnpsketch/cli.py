@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dp
 from .numkit import DomainError
-from .report import (CHOICES, ORDER_FIELDS, PRIORS, SPEC_KEYS, EstimateReport, SpecError,
+from .report import (CHOICES, NUMBERS, ORDER_FIELDS, PRIORS, SPEC_KEYS, EstimateReport, SpecError,
                      check_estimator, estimate, given)
 from .sketch import (
     MAX_WIDTH,
@@ -79,14 +79,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="estimate coverage masses from a sketch")
     p.add_argument("--sketch", required=True)
     p.add_argument("--prior", choices=list(PRIORS), required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--alpha", type=float)
     fits = dict.fromkeys(fit for prior_fits, _, _ in PRIORS.values() for fit in prior_fits)
     p.add_argument("--fit", choices=list(fits), default="none")
-    p.add_argument("--method", choices=CHOICES["method"])
-    p.add_argument("--r-max", type=int)
-    p.add_argument("--mc-samples", type=int)
-    p.add_argument("--debias", choices=CHOICES["debias"])
+    for key in SPEC_KEYS[2:]:  # past prior and fit: a number's type, or a choice
+        kind = {"choices": CHOICES[key]} if key in CHOICES else {"type": NUMBERS[key][0]}
+        p.add_argument("--" + key.replace("_", "-"), **kind)
     p.add_argument("--seed", type=_SEED)  # read by --fit eb-wasserstein and --method mc only
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default="-")

@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from .numkit import DomainError, digamma, log_gamma
-from .report import (EstimateReport, FittedPrior, check_estimator, check_freq_order, check_value,
-                     freq_counts_from, given)
+from .report import (EstimateReport, FittedPrior, build_report, check_estimator, check_freq_order,
+                     check_value, freq_counts_from, given, last_order)
 from .sketch import Sketch, count_multiset
 
 __all__ = [
@@ -224,29 +224,18 @@ def dp_report(
     """Bundle fitting, coverage, frequency counts and the distinct count.
 
     fit = "none" uses the supplied theta; fit = "eb-mle" maximizes the sketch
-    marginal likelihood.  r_max defaults to the largest bucket count (beyond
-    which every estimate is exactly zero); either is checked by the table's
-    r_max rule, which refuses 2^24 orders or more before anything is allocated.
+    marginal likelihood.  r_max is read by ``report.last_order``, before anything
+    is allocated.
     """
     t0 = time.perf_counter()
     spec = check_estimator({"prior": "dp", "fit": fit, **given(theta=theta, r_max=r_max)})
     vals, mult = count_multiset(sketch.counts)
-    r_max = check_value("r_max", int(vals[-1])) if spec["r_max"] is None else spec["r_max"]
+    r_max = last_order(spec["r_max"], int(vals[-1]))
     if spec["fit"] == "eb-mle":
         theta_hat, boundary = dp_fit_theta(sketch)
-        provenance = "eb-mle"
+        prior = FittedPrior(alpha=0.0, theta=theta_hat, provenance="eb-mle", boundary_hit=boundary)
     else:
-        theta_hat, boundary, provenance = spec["theta"], False, "given"
-    n, width = sketch.n, sketch.spec.width
-    coverage = dict(enumerate(_coverage(vals, mult, n, width, theta_hat, r_max).tolist()))
-    return EstimateReport(
-        n=n,
-        width=width,
-        prior=FittedPrior(alpha=0.0, theta=theta_hat, provenance=provenance, boundary_hit=boundary),
-        method="dp-exact",
-        coverage=coverage,
-        freq_counts=freq_counts_from(coverage, n, theta_hat),
-        distinct=float(_distinct(vals, mult, width, theta_hat)),
-        mc_stderr=None,
-        wall_time=time.perf_counter() - t0,
-    )
+        prior = FittedPrior(alpha=0.0, theta=spec["theta"])
+    width = sketch.spec.width
+    return build_report(sketch, prior, "dp-exact", _coverage(vals, mult, sketch.n, width, prior.theta, r_max),
+                        _distinct(vals, mult, width, prior.theta), t0)

@@ -133,6 +133,8 @@ class ExperimentConfig:
         for k in kw.keys() & _INT_FIELDS:
             kw[k] = json_number(k, kw[k], int)
         for k in kw.keys() & _FLOAT_LIST_FIELDS:
+            if not isinstance(kw[k], list):
+                raise SpecError(f"{k} must be a list of numbers, got {kw[k]!r}")
             kw[k] = [json_number(k, x, float) for x in kw[k]]
         for k in kw.keys() & _STR_FIELDS:
             if not isinstance(kw[k], str):

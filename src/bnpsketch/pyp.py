@@ -17,14 +17,13 @@ under equal fill (2x at J = 4, 32x at J = 1024 for alpha = 0.5, theta = 1).
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import dp_report
+from .dp import dp_coverage_profile, dp_distinct
 from .genmodel import PriorParams, crp_bucket_counts, distinct_chain, rng_from
 from .numkit import (
     _LGAMMA_SWITCH,
@@ -36,8 +35,9 @@ from .numkit import (
     log_rising_factorial_prefix,
     logsumexp,
 )
-from .report import (DEFAULTS, EstimateReport, FittedPrior, check_estimator, check_freq_order,
-                     check_value, distinct_from, freq_counts_from, given, json_number)
+from .report import (DEFAULTS, EstimateReport, FittedPrior, build_report, check_estimator,
+                     check_freq_order, check_value, distinct_from, freq_counts_from, given, json_number,
+                     last_order)
 from .sketch import Sketch, buckets_u64, count_multiset, prehash_u64
 
 __all__ = [
@@ -113,7 +113,8 @@ class _ExactEngine:
     With P(x) = prod_k G_k(x)^m_k, G_k of coefficients exp(per_count[k]),
     log_den = log E_s[P(X)], log_num_full = log E_{s+1}[P(X)] and the
     leave-one-out numerator[k][i] = log E_{s+1}[X^i P(X) / G_k(X)]: trapezoid
-    sums on one grid in u = log X.
+    sums on one grid in u = log X.  Count k's numerator is built only when an order 1 <= r
+    <= min(c, r_max) reads it, so a likelihood or an r_max = 0 profile stops at the node sums.
     """
 
     def __init__(self, sketch: Sketch, params: PriorParams):
@@ -197,16 +198,14 @@ class _ExactEngine:
         self._nodes, self._base, self._log_g, self._sizes = nodes, base, log_g, [g.size for g in rows]
         return True
 
-    @functools.cached_property
-    def numerator(self) -> list:
-        """The leave-one-out numerators, on first read, from the node sums ``_integrate`` keeps."""
-        numerator = [np.empty(size) for size in self._sizes]
-        for num, lg in zip(numerator, self._log_g):
-            per_block = max(1, _PROFILE_CELLS // lg.size)  # lg: one sum per node
-            for lo in range(0, num.size, per_block):
-                i = np.arange(lo, min(lo + per_block, num.size))
-                num[lo : lo + per_block] = logsumexp((self._base - lg) + i[:, None] * self._nodes, axis=1)
-        return numerator
+    def _numerator(self, k: int) -> np.ndarray:
+        """Count k's leave-one-out numerator, from the node sums ``_integrate`` keeps."""
+        num, lg = np.empty(self._sizes[k]), self._log_g[k]
+        per_block = max(1, _PROFILE_CELLS // lg.size)  # lg: one sum per node
+        for lo in range(0, num.size, per_block):
+            i = np.arange(lo, min(lo + per_block, num.size))
+            num[lo : lo + per_block] = logsumexp((self._base - lg) + i[:, None] * self._nodes, axis=1)
+        return num
 
     def log_profile(self, r_max: int) -> np.ndarray:
         """log coverage at orders 0..r_max, each bit for bit that of any longer profile.
@@ -222,7 +221,9 @@ class _ExactEngine:
         out = np.full(r_max + 1, -np.inf)
         # at r = 0 every bucket keeps its row: the full numerator, J times
         out[0] = log_pre[0] + math.log(self.width) + self.log_num_full
-        for c, m, num in zip(w.values.tolist(), w.multiplicity.tolist(), self.numerator):
+        counts = zip(w.values.tolist(), w.multiplicity.tolist()) if top else ()  # order 0 reads none
+        for k, (c, m) in enumerate(counts):
+            num = self._numerator(k)
             per_block = max(1, _PROFILE_CELLS // num.size)
             for lo in range(1, min(c, top) + 1, per_block):
                 orders = np.arange(lo, min(c, top, lo + per_block - 1) + 1)
@@ -693,7 +694,7 @@ def pyp_report(
     A Wasserstein fit may land on alpha = 0, where the two-parameter
     estimators degenerate; the report then falls back to the closed-form
     zero-discount estimators at the fitted theta (method tag "dp-exact").
-    r_max defaults to the largest bucket count.  Before a fit or an allocation
+    r_max is read by ``report.last_order``.  Before a fit or an allocation
     it refuses, in turn: what the estimator table refuses (``SpecError`` for an
     unknown fit, method or debias mode, a value of the wrong type or fit "none"
     without params; theta <= 0, alpha outside (0, 1), mc_samples outside
@@ -707,42 +708,22 @@ def pyp_report(
                             "debias": debias, **given(r_max=r_max)}, params and vars(params))
     # refusals before a fit, which a refused sketch would waste
     c_max = int(count_multiset(sketch.counts)[0][-1])
-    r_max = check_value("r_max", c_max) if spec["r_max"] is None else spec["r_max"]
+    r_max = last_order(spec["r_max"], c_max)
     if method == "exact":
         _check_table(c_max, _FIRST_V)
     else:
         _check_mc_work(sketch, spec["mc_samples"], range(r_max + 1))
-    if fit == "eb-wasserstein":
-        wf = wasserstein_fit(sketch, seed=seed)
-        prior = wf.prior
-        params = PriorParams(alpha=prior.alpha, theta=prior.theta)
-    else:
-        prior = FittedPrior(alpha=params.alpha, theta=params.theta, provenance="given")
-    if params.alpha == 0.0:  # a fit on the grid's alpha = 0; a given alpha = 0 was refused
-        rep = dp_report(sketch, theta=params.theta, fit="none", r_max=r_max)
-        rep.prior = prior
-        rep.wall_time = time.perf_counter() - t0
-        return rep
-
-    theta, alpha = params.theta, params.alpha
-    n, width = sketch.n, sketch.spec.width
+    prior = (wasserstein_fit(sketch, seed=seed).prior if fit == "eb-wasserstein"
+             else FittedPrior(alpha=params.alpha, theta=params.theta))
+    theta, alpha = prior.theta, prior.alpha
+    params = PriorParams(alpha=alpha, theta=theta)
+    if alpha == 0.0:  # a fit on the grid's alpha = 0; a given alpha = 0 was refused
+        return build_report(sketch, prior, "dp-exact", dp_coverage_profile(sketch, theta, r_max),
+                            dp_distinct(sketch, theta), t0)
     if method == "exact":
-        engine = _ExactEngine(sketch, params)
-        coverage = dict(enumerate(np.exp(engine.log_profile(r_max)).tolist()))
-        stderr, diagnostics, tag = None, {}, "pyp-exact"
+        coverage, stderr, diagnostics = np.exp(_ExactEngine(sketch, params).log_profile(r_max)), None, {}
     else:
-        coverage, stderr, diagnostics = _mc_profile(sketch, params, range(r_max + 1),
-                                                    spec["mc_samples"], seed, debias, theta / width)
-        tag = "pyp-mc"
-    return EstimateReport(
-        n=n,
-        width=width,
-        prior=prior,
-        method=tag,
-        coverage=coverage,
-        freq_counts=freq_counts_from(coverage, n, theta, alpha),
-        distinct=distinct_from(coverage[0], n, theta, alpha),
-        mc_stderr=stderr,
-        diagnostics=diagnostics,
-        wall_time=time.perf_counter() - t0,
-    )
+        coverage, stderr, diagnostics = _mc_profile(sketch, params, range(r_max + 1), spec["mc_samples"],
+                                                    seed, debias, theta / sketch.spec.width)
+    return build_report(sketch, prior, f"pyp-{method}", coverage,
+                        distinct_from(float(coverage[0]), sketch.n, theta, alpha), t0, stderr, diagnostics)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import time
 from dataclasses import asdict, dataclass, field, fields
 
 from .numkit import DomainError
@@ -213,3 +214,30 @@ class EstimateReport:
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":
         return cls.from_dict(json.loads(text))
+
+
+def last_order(r_max: int | None, c_max: int) -> int:
+    """A report's last order: ``r_max``, or by default the largest bucket count ``c_max`` (past
+    it every estimate is exactly zero), checked by the table's r_max rule (below 2^24)."""
+    return check_value("r_max", c_max) if r_max is None else r_max
+
+
+def build_report(sketch, prior: FittedPrior, method: str, coverage, distinct: float, t0: float,
+                 mc_stderr: dict | None = None, diagnostics: dict | None = None) -> EstimateReport:
+    """The report of a profile: ``coverage`` of orders 0..r_max (an array, or a dict by order),
+    its frequency counts m_r = (theta + n)/(r - alpha) p_r under ``prior``, the distinct count,
+    and the wall time since ``t0``, a ``time.perf_counter()`` reading."""
+    if not isinstance(coverage, dict):
+        coverage = dict(enumerate(coverage.tolist()))
+    return EstimateReport(
+        n=sketch.n,
+        width=sketch.spec.width,
+        prior=prior,
+        method=method,
+        coverage=coverage,
+        freq_counts=freq_counts_from(coverage, sketch.n, prior.theta, prior.alpha),
+        distinct=distinct,
+        mc_stderr=mc_stderr,
+        diagnostics=diagnostics or {},
+        wall_time=time.perf_counter() - t0,
+    )

@@ -1,5 +1,6 @@
 """Command-line surface: tokenizers, flag validation, exit codes, artifacts."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,9 +15,9 @@ import pytest
 
 from bnpsketch import cli, dp, pyp
 from bnpsketch.experiment import ExperimentConfig, csv_header, experiment_csv
-from bnpsketch.genmodel import PriorParams
+from bnpsketch.genmodel import PriorParams, sample_pyp_sequence
 from bnpsketch.numkit import DomainError
-from bnpsketch.report import EstimateReport, SpecError
+from bnpsketch.report import CHOICES, NUMBERS, SPEC_KEYS, EstimateReport, SpecError
 from bnpsketch.sketch import HashSpec, Sketch, crc32c, sketch_load, sketch_save, sketch_serialize
 from bnpsketch.tokenizers import make_tokenizer
 
@@ -162,6 +163,37 @@ class TestEstimateCommand:
                            "--output", str(out)) == cli.EXIT_OK
             reports[tuple(seed)] = json.loads(out.read_text())["coverage"]
         assert reports[()] == reports[("--seed", "0")] != reports[("--seed", "3")]
+
+    @staticmethod
+    def estimate_parser(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices["estimate"]
+
+    def test_estimator_flags_come_from_the_table(self, monkeypatch):
+        flags = {a.dest: a for a in self.estimate_parser(cli._build_parser())._actions}
+        for key in SPEC_KEYS[2:]:
+            if key in CHOICES:
+                assert (flags[key].type, tuple(flags[key].choices)) == (None, CHOICES[key])
+            else:
+                assert (flags[key].type, flags[key].choices) == (NUMBERS[key][0], None)
+            assert flags[key].default is None  # left unset, a key is not given
+        # a key added to the table becomes a flag
+        monkeypatch.setattr(cli, "SPEC_KEYS", (*SPEC_KEYS, "new_key"))
+        monkeypatch.setitem(NUMBERS, "new_key", (int, None, lambda v: True, ""))
+        args = cli._build_parser().parse_args(["estimate", "--sketch", "x", "--prior", "dp", "--new-key", "3"])
+        assert args.new_key == 3
+
+    def test_wasserstein_fit(self, tmp_path):
+        s = Sketch(HashSpec.random(128, 101))
+        s.insert_ids(sample_pyp_sequence(PriorParams(0.5, 10.0), 3000, 1, with_weights=False).symbols)
+        path, out = tmp_path / "fit.sketch", tmp_path / "rep.json"
+        sketch_save(s, path)
+        assert run_cli("estimate", "--sketch", str(path), "--prior", "pyp", "--fit", "eb-wasserstein",
+                       "--seed", "0", "--output", str(out)) == cli.EXIT_OK
+        got = json.loads(out.read_text())
+        want = pyp.pyp_report(s, fit="eb-wasserstein", seed=0).to_dict()
+        assert got.pop("wall_time") > 0.0 and got == {k: v for k, v in want.items() if k != "wall_time"}
+        assert (got["method"], got["prior"]["alpha"]) == ("pyp-exact", 0.3)
 
     def test_exact_over_budget_exits_numeric_naming_the_budget(self, tmp_path, capsys):
         spec = HashSpec(a=1, b=0, width=2, symbol_seed=0)
@@ -753,6 +785,18 @@ class TestExperimentCommand:
                     {"estimator": {"prior": "pyp", "alpha": 0.5, "method": "mc", "mc_samples": 200.5}}):
             cfg.write_text(json.dumps(dict(self.SMOKE, **bad)))
             assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA, bad
+
+    @pytest.mark.parametrize("key, scalar", [("theta", 10.0), ("alpha", 0.5), ("exponent", 1.2)])
+    @pytest.mark.parametrize("null", [False, True])
+    def test_model_list_field_not_a_list(self, key, scalar, null, tmp_path, capsys):
+        # a bare number or a null where a list of numbers is read: refused, naming the key
+        config = dict(self.SMOKE, **{key: None if null else scalar})
+        with pytest.raises(SpecError, match=f"^{key} must be a list of numbers"):
+            ExperimentConfig.from_dict(config)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("experiment", "--config", str(cfg)) == cli.EXIT_DATA
+        assert f"bad experiment config: {key} must be a list of numbers" in capsys.readouterr().err
 
     def test_bad_estimator_keys_are_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

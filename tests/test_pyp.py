@@ -346,7 +346,7 @@ class TestBlockWeights:
             for c_s in rest:
                 direct = log_convolve(direct, table.row(c_s) - np.arange(c_s + 1) * math.log(7))
             want = log_correlate(direct, logf_num)
-            np.testing.assert_allclose(engine.numerator[k][: c + 1], want, atol=1e-10)
+            np.testing.assert_allclose(engine._numerator(k)[: c + 1], want, atol=1e-10)
 
     def test_cap(self, monkeypatch):
         # one bucket of 10^6: 10^6 + 1 rows of 257 columns pass the table's budget
@@ -1113,7 +1113,62 @@ class TestWassersteinFit:
         assert len(rows) == len(set(rows)) == len(fit.surface) * 2 + 3 * (4 - 1) * 2
 
 
+def fit_sketch(params, n, stream_seed, hash_seed):
+    """A sketch at J = 128 of n observations drawn from the sequential sampler."""
+    s = Sketch(HashSpec.random(128, hash_seed))
+    s.insert_ids(sample_pyp_sequence(params, n, stream_seed, with_weights=False).symbols)
+    return s
+
+
+def without(report, *keys):
+    return {k: v for k, v in report.to_dict().items() if k not in keys}
+
+
 class TestReport:
+    def test_numerators_built_only_when_read(self, monkeypatch):
+        builds = []
+        build = pyp._ExactEngine._numerator
+
+        def counted(engine, k):
+            builds.append(k)
+            return build(engine, k)
+
+        monkeypatch.setattr(pyp._ExactEngine, "_numerator", counted)
+        s, params = make_sketch([5, 3, 3, 1, 0, 7, 1]), PriorParams(0.5, 10.0)
+        p0 = pyp.pyp_report(s, params=params, r_max=0).coverage[0]
+        pyp.pyp_distinct(s, params)
+        assert pyp.pyp_coverage_exact(s, params, 0) == p0
+        pyp.pyp_loglik(s, params)
+        assert builds == []  # order 0 and the likelihood stop at the node sums
+        full = pyp.pyp_report(s, params=params)
+        assert sorted(builds) == [0, 1, 2, 3]  # one per distinct count: 1, 3, 5, 7
+        assert full.coverage[0] == p0
+
+    @pytest.mark.parametrize("method, kw", [("exact", {}), ("mc", dict(r_max=5, mc_samples=2000))])
+    def test_wasserstein_fit_report(self, method, kw):
+        # PY(0.5, 10) data fit at alpha = 0.3: the report is that of the fitted prior given,
+        # its draws seeded alike, apart from the provenance
+        s = fit_sketch(PriorParams(0.5, 10.0), 3000, 1, 101)
+        rep = pyp.pyp_report(s, fit="eb-wasserstein", method=method, seed=0, **kw)
+        assert (rep.method, rep.prior.alpha, rep.prior.provenance) == (f"pyp-{method}", 0.3, "eb-wasserstein")
+        given = pyp.pyp_report(s, params=PriorParams(0.3, rep.prior.theta), method=method, seed=0, **kw)
+        assert given.prior.theta == rep.prior.theta
+        assert without(rep, "prior", "wall_time") == without(given, "prior", "wall_time")
+        assert (rep.mc_stderr is None) == (method == "exact")
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_wasserstein_fit_at_alpha_zero_is_the_dp_report(self, method):
+        # DP(50) data fit at alpha = 0: the zero-discount report at the fitted theta, which
+        # draws nothing under either method
+        s = fit_sketch(PriorParams(0.0, 50.0), 4000, 0, 100)
+        rep = pyp.pyp_report(s, fit="eb-wasserstein", method=method, mc_samples=1000, seed=0)
+        assert (rep.method, rep.prior.alpha, rep.prior.provenance) == ("dp-exact", 0.0, "eb-wasserstein")
+        assert math.isclose(rep.prior.theta, 46.4, rel_tol=1e-3)
+        want = dp.dp_report(s, theta=rep.prior.theta)
+        assert (rep.coverage, rep.distinct) == (want.coverage, want.distinct)
+        assert without(rep, "prior", "wall_time") == without(want, "prior", "wall_time")
+        assert rep.mc_stderr is None and rep.diagnostics == {}
+
     def test_exact_report_consistency(self):
         s = make_sketch([4, 2, 0, 1])
         params = PriorParams(0.5, 2.0)
