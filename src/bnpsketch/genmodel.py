@@ -264,19 +264,25 @@ def sample_zipf_sequence(exponent: float, vocab: int, n: int, seed) -> RawSample
     )
 
 
-def distinct_chain(c: int, params: PriorParams, size: int, rng: np.random.Generator):
+def distinct_chain(c: int, params: PriorParams, size: int, rng: np.random.Generator, buffers=None):
     """Walk ``size`` independent distinct-count chains, yielding (i, K_i) for i = 0..c.
 
     K_0 = 0 and K_1 = 1; for i >= 2 the count increments by a Bernoulli with
     success probability (theta + alpha*K_{i-1})/(theta+i-1), the new-symbol
     probability of the predictive scheme after i-1 observations, so one walk
     yields every prefix count.  K_i is one array updated in place: copy what
-    you keep.  Step i >= 2 draws ``rng.random(size)``; K_1 draws nothing.  A step
-    reads p from a table over K_{i-1} <= i - 1, whose entries are the
-    elementwise formula's bit for bit, into buffers reused by every step.
+    you keep.  Step i >= 2 draws ``rng.random(size)``; K_1 draws nothing.  Up
+    to step size + 1 a step reads p from a table over K_{i-1} <= i - 1, past it
+    (where the table would outgrow the samples) from the elementwise formula
+    that fills the table, so both give the same bits.  ``buffers`` are the
+    walk's (K int64, u float64, p float64, step-mask bool) arrays of ``size``,
+    reused by every step and yielded as K; the walk makes them when None.
     """
     alpha, theta = params.alpha, params.theta
-    k = np.zeros(size, dtype=np.int64)
+    if buffers is None:
+        buffers = np.empty(size, np.int64), np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    k, u, p, new = buffers
+    k.fill(0)
     yield 0, k
     if c < 1:
         return
@@ -284,12 +290,16 @@ def distinct_chain(c: int, params: PriorParams, size: int, rng: np.random.Genera
     yield 1, k
     if c < 2:
         return
-    numerators = theta + alpha * np.arange(c)
-    u, p, new = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    numerators = theta + alpha * np.arange(min(c, size + 1))
     for i in range(2, c + 1):
         rng.random(out=u)
-        # mode="clip" writes into p directly ("raise" buffers the output); K < i
-        np.take(numerators[:i] / (theta + i - 1), k, out=p, mode="clip")
+        if i <= size + 1:
+            # mode="clip" writes into p directly ("raise" buffers the output); K < i
+            np.take(numerators[:i] / (theta + i - 1), k, out=p, mode="clip")
+        else:
+            np.multiply(k, alpha, out=p)
+            p += theta
+            p /= theta + i - 1
         k += np.less(u, p, out=new)
         yield i, k
 

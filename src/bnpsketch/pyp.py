@@ -268,15 +268,8 @@ def pyp_distinct(sketch: Sketch, params: PriorParams) -> float:
     return distinct_from(p0, sketch.n, params.theta, params.alpha)
 
 
-def _shifted_moments(log_x: np.ndarray):
-    """(shift, exp(log_x - shift), its mean); robust to -inf entries."""
-    shift = float(np.max(log_x))
-    shift = 0.0 if shift == -np.inf else shift
-    shifted = np.exp(log_x - shift)
-    return shift, shifted, float(np.mean(shifted))
-
-
-_MC_CELLS = 1 << 20  # orders x samples of one block of the Monte Carlo profile's float64 sums (8 MB)
+_MC_CELLS = 1 << 17  # orders x samples of one block of the Monte Carlo profile's float64 sums (1 MB)
+_MC_KEPT_SHARE = 16  # ... or up to 1/16 of the kept chain reads' bytes, where that is more
 # Monte Carlo work, at most: n + 1 floats in each of three f tables (32 MB each), and
 # sum(c - 1) chain steps x samples (~10 s at r = 0, ~2.5 min for every order).  The
 # chain reads pass 1 keeps share the exact engine's budget, _EXACT_MAX_CELLS x 8 bytes.
@@ -324,6 +317,14 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     (scale)_(c-r)/(scale)_(c) and the lookup (scale/alpha)_(K).  The Tin
     correction is linear in Z_j, so it and the SE go on the sum.  Diagnostics:
     Kish's ESS, top weight share, chain steps (sum(c - 1) over walked buckets).
+
+    Every per-sample array is a row of one float64 workspace, made once:
+    t_total (as int64), s_total, Z', a scratch row, three rows shared by phase
+    (the walk's K, u and p; the r = 0 terms; pass 2's two indices and lookup),
+    a bucket's rest sum if a block holds several orders, and one row of sums
+    per order of a block.  So the profile holds the kept reads plus those rows,
+    8N bytes each.  The r = 0 moments run ``np.cov``'s and ``np.var``'s own
+    operations in those rows.
     """
     check_value("theta", params.theta)
     check_value("alpha", params.alpha)
@@ -353,12 +354,20 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     log_pre = log_rising_factorial_prefix(1.0 - alpha, max(c_max, 1))
     log_pre = math.log(theta / width) + log_pre - math.log(theta + n)
 
-    per_block = max(1, _MC_CELLS // num_samples)
     small = np.min_scalar_type(c_max)  # chain values lie in 0..c_max, K_c included
-    sums = np.empty((min(len(live), per_block), num_samples))  # made first, not amid the kept reads
+    # a bucket's rest is formed once per block: where the kept reads are large, wider
+    # blocks cost little memory against them and save a third of pass 2's gathers
+    kept_bytes = sum(_kept_reads(c, live) for c in walked) * num_samples * small.itemsize
+    per_block = max(1, _MC_CELLS // num_samples, kept_bytes // (_MC_KEPT_SHARE * 8 * num_samples))
+    rows = min(len(live), per_block)
+    work = np.empty((7 + (rows > 1) + rows, num_samples))  # made first, not amid the kept reads
+    t_total, s_total, zden, term = work[0].view(np.int64), work[1], work[2], work[3]
+    shared = work[4:7]
     kept = []  # {depth: K} of each walked bucket, as small ints
-    t_total = np.full(num_samples, ones, dtype=np.int64)
-    s_total = np.zeros(num_samples)
+    t_total.fill(ones)
+    s_total.fill(0.0)
+    # the step mask is the scratch row's first N bytes: a walk is done before s_total reads the row
+    walk = shared[0].view(np.int64), shared[1], shared[2], term.view(bool)[:num_samples]
     for c in occ_counts:
         if c == 1:  # K_1 = 1: the term a walk would add, in the same place of the sum
             s_total += log_rf_chain[1]
@@ -366,53 +375,69 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
         reads = _kept_reads(c, live)
         depths = {c, *(c - r for r in live[: reads - 1])} if reads else ()
         kept.append({})
-        for i, k in distinct_chain(c, chain, num_samples, rng):
+        for i, k in distinct_chain(c, chain, num_samples, rng, buffers=walk):
             if i in depths:
                 kept[-1][i] = k.astype(small)
         t_total += k
-        s_total += log_rf_chain[k]
+        s_total += np.take(log_rf_chain, k, out=term, mode="clip")  # "raise" would buffer the output
 
     # Z' / e^den_shift, in place of log Z'
-    zden = log_f_den[t_total] - s_total
+    np.subtract(np.take(log_f_den, t_total, out=zden, mode="clip"), s_total, out=zden)
     den_shift = float(np.max(zden))
     zden -= den_shift
     np.exp(zden, out=zden)
     den_mean = float(np.mean(zden))
-    var_den = float(np.var(zden, ddof=1))
     tin = debias == "tin"
+
+    def var(row):
+        """``np.var(row, ddof=1)``, its operations in the scratch row."""
+        np.subtract(row, np.add.reduce(row) / num_samples, out=term)
+        return float(np.add.reduce(np.square(term, out=term))) / (num_samples - 1)
+
+    def shifted_mean(log_x, out):
+        """(shift, mean of exp(log_x - shift)), the exponentials written to ``out``; robust to -inf."""
+        shift = float(np.max(log_x))
+        shift = 0.0 if shift == -np.inf else shift
+        np.exp(np.subtract(log_x, shift, out=out), out=out)
+        return shift, float(np.mean(out))
 
     def kish(w_sh):
         total = float(np.sum(w_sh))
         return total * total / float(np.dot(w_sh, w_sh)), float(np.max(w_sh)) / total
 
+    var_den = var(zden)
     den_ess, den_share = kish(zden)
     diagnostics = {"ess": {}, "max_weight_share": {}, "den_ess": den_ess,
                    "den_max_weight_share": den_share}
 
     if 0 in coverage:  # every bucket keeps depth c_s: all J ratios coincide, with weight 1
-        log_agg = log_f_num[t_total] - s_total
-        num_shift, num_sh, num_mean = _shifted_moments(log_agg)
+        log_agg, pair = shared[0], shared[1:]
+        np.subtract(np.take(log_f_num, t_total, out=log_agg, mode="clip"), s_total, out=log_agg)
+        num_shift, num_mean = shifted_mean(log_agg, pair[0])
         value = math.exp(num_shift - den_shift) * num_mean / den_mean
-        if tin:
-            cov = float(np.cov(num_sh, zden, ddof=1)[0, 1])
+        if tin:  # np.cov(exp(log_agg - num_shift), zden, ddof=1)[0, 1]
+            np.copyto(pair[1], zden)
+            pair -= (np.add.reduce(pair, axis=1) / num_samples)[:, None]
+            cov = np.dot(pair, pair.T)
+            cov *= np.true_divide(1, num_samples - 1)
             value *= 1.0 + (
-                cov / (num_samples * num_mean * den_mean)
+                float(cov[0, 1]) / (num_samples * num_mean * den_mean)
                 - var_den / (num_samples * den_mean**2)
             )
         coverage[0] = math.exp(float(log_pre[0])) * (value * width)
         # delta-method SE of mean(A)/mean(B) from the residuals A_i - R*B_i (no cancellation)
         log_agg += math.log(width)
-        agg_shift, agg_sh, agg_mean = _shifted_moments(log_agg)
-        var_resid = float(np.var(agg_sh - agg_mean / den_mean * zden, ddof=1))
+        agg_shift, agg_mean = shifted_mean(log_agg, pair[0])
+        resid = np.subtract(pair[0], np.multiply(zden, agg_mean / den_mean, out=pair[1]), out=pair[1])
         stderr[0] = (math.exp(float(log_pre[0]) + agg_shift - den_shift)
-                     * math.sqrt(var_resid / num_samples) / den_mean)
-        diagnostics["ess"][0], diagnostics["max_weight_share"][0] = kish(agg_sh)
-        del log_agg, num_sh, agg_sh  # not held through pass 2
+                     * math.sqrt(var(resid) / num_samples) / den_mean)
+        diagnostics["ess"][0], diagnostics["max_weight_share"][0] = kish(pair[0])
 
     # orders >= 1 are finished from their linear sums: the covariance and the
     # SE residual of mean(A)/mean(B) are dot products with the centred Z'
     zden -= den_mean
-    (idx, t_rest), (s_rest, lookup, term) = np.empty((2, num_samples), np.int64), np.empty((3, num_samples))
+    idx, rest, lookup = shared[0].view(np.int64), shared[1].view(np.int64), shared[2]
+    s_rest = work[7] if rows > 1 else lookup  # one order a block: its lookup may overwrite the rest
 
     def finish(r, log_scale, lin_row):
         total = float(np.sum(lin_row))
@@ -448,30 +473,31 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
     for lo in range(0, len(live), per_block):
         block = live[lo : lo + per_block]
         shift = np.full(len(block), -np.inf)
-        lin = sums[: len(block)]  # sum_j w_j Z_j of each order is exp(shift) * lin
+        lin = work[-rows:][: len(block)]  # sum_j w_j Z_j of each order is exp(shift) * lin
         lin.fill(0.0)
         if ones and block[0] == 1:  # every count-1 bucket reads K_0 = 0 at order 1: one term
             add_term(0, math.log(ones) - float(log_scale_rf[1]),
                      np.subtract(t_total, 1, out=idx), np.subtract(s_total, log_rf_chain[1], out=lookup))
         for c, reads in zip(walked, kept):
-            rows = {c - r: row for row, r in enumerate(block) if r <= c}  # depth -> row
-            if not rows:
+            if block[0] > c:
                 continue
-            np.copyto(idx, reads[c])  # a small-int index would be converted in a temporary
-            np.take(log_rf_chain, idx, out=lookup, mode="clip")
-            np.subtract(s_total, lookup, out=s_rest)
-            np.subtract(t_total, idx, out=t_rest)
-            for i, row in rows.items():
+            # the bucket's rest: t_total - K_c and s_total - lookup(K_c)
+            np.copyto(rest, reads[c])  # a small-int index would be converted in a temporary
+            np.subtract(s_total, np.take(log_rf_chain, rest, out=s_rest, mode="clip"), out=s_rest)
+            np.subtract(t_total, rest, out=rest)
+            for row, r in enumerate(block):
+                if r > c:
+                    break
+                i = c - r
                 logw = math.lgamma(c + 1) - math.lgamma(c - i + 1) - math.lgamma(i + 1)
                 logw = logw + log_scale_rf[i] - log_scale_rf[c]
                 if i < 2:  # K_0 = 0 and K_1 = 1: nothing to gather
                     np.add(s_rest, log_rf_chain[i], out=lookup)
-                    np.add(t_rest, i, out=idx)
+                    np.add(rest, i, out=idx)
                 else:
                     np.copyto(idx, reads[i])  # an int64 index gathers ~4x faster than a small-int one
-                    np.take(log_rf_chain, idx, out=lookup, mode="clip")  # "raise" would buffer the output
-                    np.add(lookup, s_rest, out=lookup)
-                    np.add(idx, t_rest, out=idx)
+                    np.add(np.take(log_rf_chain, idx, out=term, mode="clip"), s_rest, out=lookup)
+                    idx += rest
                 add_term(row, logw, idx, lookup)
         # the prefactor goes into the sum: (1-alpha)_(r) passes 1e308 from r ~ 170
         for r, row_shift, row in zip(block, shift, lin):

@@ -144,6 +144,41 @@ class TestDistinctPrefixSampler:
         assert traj[-1] == 0 and traj[-2] == 1
         assert all(traj[i] >= traj[i + 1] for i in range(len(traj) - 1))
 
+    @pytest.mark.parametrize("c,size", [(40, 3), (12, 500)])
+    def test_caller_buffers_walk_the_same_chains(self, c, size):
+        # buffers passed in, holding stale values, give the walk's own trajectory
+        # and generator end state, and K is yielded in the caller's array
+        params = gm.PriorParams(0.5, 2.0)
+        own = np.random.default_rng(c)
+        want = [(i, k.copy()) for i, k in gm.distinct_chain(c, params, size, own)]
+        buffers = np.full(size, 7, np.int64), np.full(size, 0.5), np.full(size, 0.5), np.ones(size, dtype=bool)
+        given = np.random.default_rng(c)
+        got = []
+        for i, k in gm.distinct_chain(c, params, size, given, buffers=buffers):
+            assert k is buffers[0]
+            got.append((i, k.copy()))
+        assert [i for i, _ in got] == [i for i, _ in want] == list(range(c + 1))
+        assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
+        assert given.bit_generator.state == own.bit_generator.state
+
+    @pytest.mark.parametrize("alpha,theta", [(0.5, 1.0), (0.9, 0.01), (0.3, 1e12)])
+    def test_steps_past_the_samples_match_the_table(self, alpha, theta):
+        # past step size + 1 the walk computes p elementwise; the table of
+        # (theta + alpha k)/(theta + i - 1) it replaces gives the same bits
+        c, size, params = 300, 4, gm.PriorParams(alpha, theta)
+        rng = np.random.default_rng(11)
+        k, want = np.zeros(size, np.int64), [np.zeros(size, np.int64), np.ones(size, np.int64)]
+        k += 1
+        numerators = theta + alpha * np.arange(c)
+        for i in range(2, c + 1):
+            u = rng.random(size)
+            k += u < np.take(numerators[:i] / (theta + i - 1), k)
+            want.append(k.copy())
+        walk = np.random.default_rng(11)
+        got = [k.copy() for _, k in gm.distinct_chain(c, params, size, walk)]
+        assert np.array_equal(got, want)
+        assert walk.bit_generator.state == rng.bit_generator.state
+
     def test_three_draw_law(self, rng):
         # Pr[K_3 = 1] = 1/3 at alpha = 0, theta = 1
         _, k3 = gm.sample_distinct_pairs(3, 0, gm.PriorParams(0.0, 1.0), 100_000, rng)

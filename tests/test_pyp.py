@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,9 +299,9 @@ def count_walks(monkeypatch) -> list:
     """The counts of the chains ``pyp`` walks from now on, one entry per walk."""
     walked = []
 
-    def counting_chain(c, params, size, rng):
+    def counting_chain(c, params, size, rng, **kwargs):
         walked.append(c)
-        return distinct_chain(c, params, size, rng)
+        return distinct_chain(c, params, size, rng, **kwargs)
 
     monkeypatch.setattr(pyp, "distinct_chain", counting_chain)
     return walked
@@ -857,14 +858,17 @@ class TestMonteCarloProfile:
         est, se = pyp.pyp_coverage_mc(s, params, 300, 1000, seed=2)
         assert 0.0 < est < 1.0 and 0.0 < se < 1.0
 
-    @pytest.mark.parametrize("cells", [1, 2 * 1000])
-    def test_blocks_of_orders_do_not_change_the_profile(self, cells, monkeypatch):
-        # cells = 1 gives one order per block, 2000 two: each block reads the
-        # chain values pass 1 kept, so nothing moves, the work counter included
+    @pytest.mark.parametrize("cells,share", [(1, 16), (2 * 1000, 16), (1, 1)])
+    def test_blocks_of_orders_do_not_change_the_profile(self, cells, share, monkeypatch):
+        # cells = 1 gives one order per block, 2000 two, and so does a kept
+        # share of 1 (16 kept reads of 1000 bytes: two rows of 8000): each
+        # block reads the chain values pass 1 kept, so nothing moves, the
+        # work counter included
         s = make_sketch([7, 1, 0, 3, 5, 2, 1, 4], width=16)
         kw = dict(params=PriorParams(0.5, 3.0), method="mc", mc_samples=1000, seed=5)
         want = pyp.pyp_report(s, **kw).to_dict()
         monkeypatch.setattr(pyp, "_MC_CELLS", cells)
+        monkeypatch.setattr(pyp, "_MC_KEPT_SHARE", share)
         walked = count_walks(monkeypatch)
         got = pyp.pyp_report(s, **kw).to_dict()
         del want["wall_time"], got["wall_time"]
@@ -911,8 +915,8 @@ class TestMonteCarloProfile:
         assert state_r == state
 
     def test_chain_steps_are_one_walk_per_bucket(self, monkeypatch):
-        # at n = 1000, J = 128 and 2000 samples a profile to c_max spans two
-        # blocks of 524 orders; each bucket is still walked once
+        # at n = 1000, J = 128 and 2000 samples a profile to c_max spans
+        # several blocks of 65 orders; each bucket is still walked once
         ss = np.random.SeedSequence(4000)
         s_data, s_hash = ss.spawn(2)
         sk = Sketch(HashSpec.random(128, s_hash))
@@ -953,6 +957,27 @@ class TestMonteCarloProfile:
             pyp._check_mc_work(s, (1 << 20) + 1, orders)
         with pytest.raises(DomainError, match="chain reads"):
             pyp.pyp_report(s, params=PriorParams(0.5, 1.0), method="mc", mc_samples=(1 << 20) + 1)
+
+    def test_workspace_bounds_the_memory_of_a_profile(self):
+        # a profile to c_max = 11 at N = 10^5, J = 128: one order per block, so
+        # every per-sample array is one of the workspace's 7 + 1 rows of N
+        # floats, and the rest is the kept chain reads, one byte each, and
+        # arrays of n or c_max entries (64 KB allow for them; one more array
+        # of N floats would be 800 KB)
+        num_samples = 100_000
+        counts = [4, 1, 0, 1, 1, 0, 1, 1, 11] + [0] * 119
+        s = make_sketch(counts, width=128)
+        kw = dict(params=PriorParams(0.5, 1.0), method="mc", seed=3)
+        pyp.pyp_report(s, mc_samples=1000, **kw)  # what a first call imports and caches is not the profile's
+        _, live = pyp._check_mc_work(s, num_samples, range(12))
+        kept = sum(pyp._kept_reads(c, live) for c in counts if c > 1) * num_samples
+        tracemalloc.start()
+        try:
+            pyp.pyp_report(s, mc_samples=num_samples, **kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * num_samples + kept + (1 << 16), (peak, kept)
 
     def test_trust_measures(self):
         s = make_sketch([4, 1, 0, 2, 1], width=8)
