@@ -189,50 +189,94 @@ def _crp_fill(symbols, u, pick, alpha, theta):
     return n_blocks
 
 
+# Observation steps of one block of ``crp_bucket_counts``; the bytes its block
+# buffers take per row and step (five float64 and two intp arrays, one bool); and
+# the words it holds per row besides (alpha, theta, stream, table base, n_blocks
+# after a block and at the end).
+_BLOCK_STEPS = 32
+_STEP_BYTES = 7 * 8 + 1
+_ROW_WORDS = 6
+
+
+def lockstep_rows(n: int, width: int, budget: int) -> int:
+    """The most rows (at least one) whose ``crp_bucket_counts`` working set fits in
+    ``budget`` bytes at n observations and ``width`` buckets.  That is the shared
+    block ids and one row's bucket gather (its ids as intp, then their buckets) and
+    two bincounts, then per row its repeat table, block buffers, words and counts."""
+    id_bytes, count_bytes = np.min_scalar_type(-n).itemsize, np.min_scalar_type(n).itemsize
+    fixed = n * (id_bytes + 16) + 2 * width * 8
+    per_row = n * id_bytes + _BLOCK_STEPS * _STEP_BYTES + _ROW_WORDS * 8 + width * count_bytes
+    return max(1, (budget - fixed) // per_row)
+
+
 def crp_bucket_counts(alpha, theta, stream, u, pick, bucket_of_id, width: int) -> np.ndarray:
     """Bucket counts of many sequential-predictive streams, run in lockstep.
 
     Row r samples n >= 1 observations under (alpha[r], theta[r]) from the
     uniforms ``u[stream[r]]`` and ``pick[stream[r]]`` (each of shape
     (streams, n)), maps symbol id k to bucket ``bucket_of_id[k]`` and
-    returns the (rows, width) counts.  One vectorized step per observation
-    advances every row; each row repeats ``_crp_fill``'s float operations in
-    the same order, so its counts equal those of that loop's symbols
-    sketched with the same buckets, bit for bit.  Memory is one repeat table
-    of rows x n ids (a row's non-initial symbols) in the smallest signed
-    integer type that holds -n, plus the counts; no symbols are kept.
+    returns the (rows, width) counts in the smallest unsigned integer type
+    that holds n.  No symbols are kept: each row holds its repeat table (its
+    non-initial symbols) in one id table, after a shared region holding the
+    block ids 0..n-1, in the smallest signed integer type that holds -n.
+
+    The steps run in blocks of ``_BLOCK_STEPS``.  Only two loops go step by
+    step, over every row at once: the new-block test (w_new = theta +
+    n_blocks*alpha, with n_blocks held as exact floats) and one table copy,
+    ``table[slot] = table[src]``.  The rest is formed once per block: x,
+    the repeat test x < w_new + w_rep, the slot (the row's n_repeats) and
+    the source (a repeat pick in the row's table, or a direct block pick in
+    the shared region; a new block's slot is written but not kept).  Each
+    row repeats ``_crp_fill``'s float operations in the same order, so its
+    counts equal those of that loop's symbols sketched with the same
+    buckets, bit for bit.  ``lockstep_rows`` sizes a batch to a budget of
+    this working set and the counts.
     """
     alpha = np.asarray(alpha, dtype=float)
     theta = np.asarray(theta, dtype=float)
     stream = np.asarray(stream, dtype=np.intp)
     rows, n = stream.size, np.shape(u)[1]
-    u_steps = np.ascontiguousarray(np.transpose(u), dtype=float)
-    pick_steps = np.ascontiguousarray(np.transpose(pick), dtype=float)
-    id_type = np.min_scalar_type(-n)  # ids lie in 0..n - 1
-    repeats = np.empty(rows * n, dtype=id_type)
-    base = np.arange(rows, dtype=np.intp) * n
-    n_blocks = np.ones(rows, dtype=np.intp)
-    n_repeats = np.zeros(rows, dtype=np.intp)
-    for i in range(1, n):
-        w_new = theta + n_blocks * alpha
-        w_rep = n_repeats.astype(float)  # i - n_blocks
-        x = u_steps[i][stream] * (theta + i)
-        p = pick_steps[i][stream]
-        is_new = x < w_new
-        old = np.where(
-            x < w_new + w_rep,
-            repeats[base + (p * w_rep).astype(np.intp)],
-            (p * n_blocks).astype(id_type),
-        )
-        # a new block's slot is written but not kept: n_repeats stays put
-        repeats[base + n_repeats] = np.where(is_new, n_blocks, old)
-        n_blocks += is_new
-        n_repeats += ~is_new
-    counts = np.empty((rows, width), dtype=np.int64)
+    u, pick = np.asarray(u, dtype=float), np.asarray(pick, dtype=float)
+    table = np.empty(n * (rows + 1), dtype=np.min_scalar_type(-n))  # ids lie in 0..n - 1
+    table[:n] = np.arange(n)
+    base = np.arange(1, rows + 1, dtype=np.intp) * n
+    steps = min(_BLOCK_STEPS, max(n - 1, 1))
+    x, p, w_new, w_rep = np.empty((4, steps, rows))
+    n_blocks = np.ones((steps + 1, rows))  # before each step of a block, then after its last
+    new = np.empty((steps, rows), dtype=bool)
+    slot, src = np.empty((2, steps, rows), dtype=np.intp)
+    for lo in range(1, n, steps):
+        b = min(steps, n - lo)
+        at = np.arange(lo, lo + b, dtype=float)[:, None]
+        np.take(u[:, lo : lo + b].T, stream, axis=1, out=x[:b], mode="clip")  # "raise" would buffer
+        np.take(pick[:, lo : lo + b].T, stream, axis=1, out=p[:b], mode="clip")
+        x[:b] *= np.add(theta, at, out=w_rep[:b])
+        for k in range(b):
+            np.multiply(n_blocks[k], alpha, out=w_new[k])
+            w_new[k] += theta
+            np.less(x[k], w_new[k], out=new[k])
+            np.add(n_blocks[k], new[k], out=n_blocks[k + 1])
+        blocks = n_blocks[:b]
+        np.subtract(at, blocks, out=w_rep[:b])  # n_repeats before each step
+        np.add(w_new[:b], w_rep[:b], out=w_new[:b])
+        is_rep = np.less(x[:b], w_new[:b], out=new[:b])  # a new block passes too: its slot is not kept
+        np.copyto(slot[:b], w_rep[:b], casting="unsafe")
+        slot[:b] += base
+        np.multiply(p[:b], w_rep[:b], out=x[:b])
+        np.multiply(p[:b], blocks, out=p[:b])
+        np.copyto(p[:b], x[:b], where=is_rep)
+        np.copyto(src[:b], p[:b], casting="unsafe")  # truncation, as int() in ``_crp_fill``
+        np.add(src[:b], base, out=src[:b], where=is_rep)
+        for k in range(b):
+            table[slot[k]] = table[src[k]]
+        n_blocks[0] = n_blocks[b]
+    n_blocks = n_blocks[0].astype(np.intp)
+    counts = np.empty((rows, width), dtype=np.min_scalar_type(n))
     for r in range(rows):
-        own = repeats[base[r] : base[r] + n_repeats[r]]
-        counts[r] = np.bincount(bucket_of_id[: n_blocks[r]], minlength=width)
-        counts[r] += np.bincount(bucket_of_id[own], minlength=width)
+        own = table[base[r] : base[r] + n - n_blocks[r]]
+        row = np.bincount(bucket_of_id[: n_blocks[r]], minlength=width)
+        row += np.bincount(bucket_of_id[own], minlength=width)
+        counts[r] = row
     return counts
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import dp_coverage_profile, dp_distinct
-from .genmodel import PriorParams, crp_bucket_counts, distinct_chain, rng_from
+from .genmodel import PriorParams, crp_bucket_counts, distinct_chain, lockstep_rows, rng_from
 from .numkit import (
     _LGAMMA_SWITCH,
     DomainError,
@@ -302,6 +302,12 @@ def _check_mc_work(sketch: Sketch, num_samples: int, orders) -> tuple[int, list]
     return c_max, live
 
 
+def _dot(a, b) -> float:
+    """a . b of two vectors, summed in the same order at any BLAS thread count
+    (``np.dot`` splits a long sum across OpenBLAS threads)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, seed, debias: str,
                 scale: float):
     """(coverage, stderr, diagnostics) at each of ``orders`` from one draw of the chains.
@@ -403,7 +409,7 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
 
     def kish(w_sh):
         total = float(np.sum(w_sh))
-        return total * total / float(np.dot(w_sh, w_sh)), float(np.max(w_sh)) / total
+        return total * total / _dot(w_sh, w_sh), float(np.max(w_sh)) / total
 
     var_den = var(zden)
     den_ess, den_share = kish(zden)
@@ -418,7 +424,7 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
         if tin:  # np.cov(exp(log_agg - num_shift), zden, ddof=1)[0, 1]
             np.copyto(pair[1], zden)
             pair -= (np.add.reduce(pair, axis=1) / num_samples)[:, None]
-            cov = np.dot(pair, pair.T)
+            cov = np.dot(pair, pair.T)  # np.cov's product; BLAS splits it by output, not along a sum
             cov *= np.true_divide(1, num_samples - 1)
             value *= 1.0 + (
                 float(cov[0, 1]) / (num_samples * num_mean * den_mean)
@@ -445,7 +451,7 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
         factor = math.exp(log_scale - den_shift) / den_mean
         value = factor * mean
         if tin:
-            cov = float(np.dot(lin_row, zden)) / (num_samples - 1)
+            cov = _dot(lin_row, zden) / (num_samples - 1)
             value *= 1.0 + (
                 cov / (num_samples * mean * den_mean)
                 - var_den / (num_samples * den_mean**2)
@@ -453,9 +459,9 @@ def _mc_profile(sketch: Sketch, params: PriorParams, orders, num_samples: int, s
         coverage[r] = value
         resid = np.subtract(lin_row, np.multiply(zden, mean / den_mean, out=term), out=term)
         resid -= np.mean(resid)
-        var_resid = float(np.dot(resid, resid)) / (num_samples - 1)
+        var_resid = _dot(resid, resid) / (num_samples - 1)
         stderr[r] = factor * math.sqrt(var_resid / num_samples)
-        diagnostics["ess"][r] = total * total / float(np.dot(lin_row, lin_row))
+        diagnostics["ess"][r] = total * total / _dot(lin_row, lin_row)
         diagnostics["max_weight_share"][r] = float(np.max(lin_row)) / total
 
     def add_term(row, logw, idx, log_chain):
@@ -564,8 +570,8 @@ def sorted_count_distance(counts_a, counts_b):
 DEFAULT_ALPHA_GRID = tuple(np.round(np.arange(0.0, 0.951, 0.05), 10))
 DEFAULT_THETA_GRID = tuple(np.logspace(-1.0, 5.0, 10))
 
-# Working set of one lockstep batch of the fit: rows x max(n_sim, width) cells
-# of the repeat table's symbol ids, at most 8 MB of them.
+# Working set of one lockstep batch of the fit, 8 MB: ``genmodel.lockstep_rows``
+# fits the id table, the block buffers and the counts of its rows in it.
 _LOCKSTEP_BYTES = 1 << 23
 
 
@@ -619,10 +625,12 @@ def wasserstein_fit(
     only on the symbol sequence, and stick coverage would be intractable on
     the heavy-discount end of the grid.  The streams of a stage (grid, theta
     refinement, rescoring) run in lockstep, one row per (alpha, theta,
-    replicate), in batches of a fixed working set (``_LOCKSTEP_BYTES``: 8 MB
-    of repeat table); the bucket of each symbol id is hashed once per fit.
-    The surface equals that of sampling and sketching each stream on its
-    own, bit for bit.
+    replicate), in blocks of observation steps (``crp_bucket_counts``) and
+    in batches of rows whose whole working set, id table, block buffers and
+    counts, fits in ``_LOCKSTEP_BYTES`` (8 MB: 1 362 rows at n_sim = 2000,
+    J = 128); the bucket of each symbol id is hashed once per fit.  The
+    surface equals that of sampling and sketching each stream on its own,
+    bit for bit.
     """
     if sketch.n == 0:
         raise DomainError("cannot fit parameters on an empty sketch")
@@ -648,8 +656,7 @@ def wasserstein_fit(
     bucket_of_id = buckets_u64(
         prehash_u64(np.arange(n_sim), spec.symbol_seed), spec.a, spec.b, spec.width
     )
-    id_bytes = np.min_scalar_type(-n_sim).itemsize  # as ``crp_bucket_counts`` stores them
-    batch_rows = max(1, _LOCKSTEP_BYTES // (max(n_sim, spec.width) * id_bytes))
+    batch_rows = lockstep_rows(n_sim, spec.width, _LOCKSTEP_BYTES)
 
     known = {}  # (alpha, theta) -> its replicate distances so far, in replicate order
 

@@ -1,12 +1,14 @@
 """Generative samplers against exact laws and closed-form recursions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from bnpsketch import genmodel as gm
+from bnpsketch import pyp
 from bnpsketch.numkit import DomainError
 from bnpsketch.sketch import HashSpec, Sketch, buckets_u64, prehash_u64
 
@@ -84,18 +86,23 @@ class TestStickBreakingSampler:
 
 class TestLockstepSampler:
     PARAMS = [(0.0, 0.1), (0.0, 1e5), (0.95, 0.1), (0.95, 1e5), (0.5, 10.0)]
+    B = gm._BLOCK_STEPS
 
-    @pytest.mark.parametrize("n", [1, 2, 500])
-    def test_rows_match_single_stream_sketches(self, n):
-        # rows with mixed (alpha, theta) over shared streams, as the fit uses them
-        spec = HashSpec.random(32, seed=11)
-        seeds = np.random.SeedSequence(n).spawn(3)
-        u = np.empty((len(seeds), n))
+    @staticmethod
+    def streams(n, count=3):
+        seeds = np.random.SeedSequence(n).spawn(count)
+        u = np.empty((count, n))
         pick = np.empty_like(u)
         for k, s in enumerate(seeds):
             rng = np.random.default_rng(s)
             u[k] = rng.random(n)
             pick[k] = rng.random(n)
+        return seeds, u, pick
+
+    def check_rows(self, n, width):
+        # rows with mixed (alpha, theta) over shared streams, as the fit uses them
+        spec = HashSpec.random(width, seed=11)
+        seeds, u, pick = self.streams(n)
         rows = [(a, t, k) for a, t in self.PARAMS for k in range(len(seeds))]
         alpha, theta, stream = (list(col) for col in zip(*rows))
         bucket_of_id = buckets_u64(
@@ -110,6 +117,37 @@ class TestLockstepSampler:
             want = Sketch(spec)
             want.insert_ids(smp.symbols)
             assert np.array_equal(counts, want.counts), (a, t, k)
+
+    # one step, one block, a block and one step, two blocks and one step
+    @pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 1, 500])
+    def test_rows_match_single_stream_sketches(self, n):
+        self.check_rows(n, width=32)
+
+    @pytest.mark.parametrize("n", [1, B + 1, 500])
+    def test_width_past_the_stream_length(self, n):
+        self.check_rows(n, width=1024)
+
+    @pytest.mark.parametrize("n,width", [(2000, 128), (10_000, 128), (300, 32)])
+    def test_a_batch_of_the_fit_keeps_to_its_budget(self, n, width):
+        # one call at the fit's batch size: the table, block buffers and counts stay
+        # within the budget; 64 KB allow for the arrays of a few entries and the
+        # Python objects (about 4 KB measured)
+        budget = pyp._LOCKSTEP_BYTES
+        rows = gm.lockstep_rows(n, width, budget)
+        assert n != 2000 or rows >= 1000  # the fit's 1000-row grid stage at n' = 2000 is one batch
+        _, u, pick = self.streams(n, count=5)
+        rng = np.random.default_rng(n)
+        alpha = rng.choice([0.0, 0.5, 0.95], rows).tolist()
+        theta = rng.choice([0.1, 10.0, 1e5], rows).tolist()
+        stream = rng.integers(0, 5, rows).tolist()
+        bucket_of_id = rng.integers(0, width, n)
+        tracemalloc.start()
+        try:
+            gm.crp_bucket_counts(alpha, theta, stream, u, pick, bucket_of_id, width)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + (1 << 16), (rows, peak)
 
 
 class TestZipfSampler:

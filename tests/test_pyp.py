@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -979,6 +983,28 @@ class TestMonteCarloProfile:
             tracemalloc.stop()
         assert peak <= 8 * 8 * num_samples + kept + (1 << 16), (peak, kept)
 
+    def test_report_does_not_depend_on_the_blas_thread_count(self):
+        # at N = 10^5 OpenBLAS splits a vector dot product across its threads, and a
+        # different split rounds differently: every reduction of a report must not use it
+        code = (
+            "import json\n"
+            "from bnpsketch import HashSpec, PriorParams, Sketch, pyp_report\n"
+            "from bnpsketch.genmodel import sample_pyp_sequence\n"
+            "s = Sketch(HashSpec.random(128, 5))\n"
+            "s.insert_ids(sample_pyp_sequence(PriorParams(0.5, 10.0), 300, 6, with_weights=False).symbols)\n"
+            "rep = pyp_report(s, params=PriorParams(0.5, 10.0), method='mc', mc_samples=100_000, seed=7)\n"
+            "print(json.dumps({k: v for k, v in rep.to_dict().items() if k != 'wall_time'}))\n"
+        )
+        src = str(pathlib.Path(pyp.__file__).parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
     def test_trust_measures(self):
         s = make_sketch([4, 1, 0, 2, 1], width=8)
         rep = pyp.pyp_report(s, params=PriorParams(0.5, 2.0), method="mc", mc_samples=2000,
@@ -1121,6 +1147,19 @@ class TestWassersteinFit:
         assert np.array_equal(fit.surface, want)
         best = min(want.tolist(), key=lambda row: (row[2], row[0], row[1]))
         assert (fit.prior.alpha, fit.prior.theta) == (best[0], best[1])
+
+    @pytest.mark.parametrize("batch_rows", [1, 7, 13])
+    def test_surface_matches_across_batch_sizes(self, batch_rows, monkeypatch):
+        # batches of a few rows start and end inside a replicate and span two of them
+        monkeypatch.setattr(pyp, "lockstep_rows", lambda n, width, budget: batch_rows)
+        smp = sample_pyp_sequence(PriorParams(0.5, 20.0), 1500, seed=3, with_weights=False)
+        s = Sketch(HashSpec.random(32, seed=4))
+        s.insert_ids(smp.symbols)
+        grid = dict(alpha_grid=[0.0, 0.5, 0.9], theta_grid=[0.1, 20.0, 1e5])
+        kw = dict(num_reps=2, n_sim=300, refine_theta=2, rescore_top=3)
+        fit = pyp.wasserstein_fit(s, seed=np.random.SeedSequence(9), **grid, **kw)
+        want = self.per_stream_surface(s, seed=np.random.SeedSequence(9), **grid, **kw)
+        assert np.array_equal(fit.surface, want)
 
     def test_each_replicate_is_simulated_once(self, monkeypatch):
         # rescoring reuses the replicates of the grid and refinement stages
